@@ -9,7 +9,6 @@ from .ngon import (
     Polygon,
     all_orderings,
     canonicalize,
-    chords,
     compose_transposition,
     crosses,
     crossing_chords,

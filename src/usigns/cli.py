@@ -208,7 +208,7 @@ def cmd_sign_of(args) -> int:
     return EXIT_OK
 
 
-def _verify_suites(n: int, seed: int, threads: int):
+def _verify_suites(n: int, seed: int):
     """Yield (suite name, passed) pairs for cmd_verify."""
     poly = Polygon(n)
     cap = max(n, DEFAULT_ENUMERATION_CAP)
@@ -255,7 +255,7 @@ def _verify_suites(n: int, seed: int, threads: int):
 def cmd_verify(args) -> int:
     if not 4 <= args.n <= 8:
         raise UsageError(f"verify supports n in 4..8, got {args.n}")
-    results = dict(_verify_suites(args.n, args.seed, args.threads))
+    results = dict(_verify_suites(args.n, args.seed))
     ok = all(results.values())
     if args.json:
         print(json.dumps({"n": args.n, "suites": results, "ok": ok}))
@@ -353,7 +353,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the full consistency/solver/oracle check")
     p.add_argument("n", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

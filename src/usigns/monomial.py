@@ -113,14 +113,10 @@ class MonomialMap:
         """(negative-bit, odd-exponent mask) per source chord, for fast sign
         transport through this map."""
         poly = self.poly
-        out = []
-        for mono in self.images:
-            mask = 0
-            for c, e in mono.powers:
-                if e & 1:
-                    mask |= 1 << poly.chord_index[c]
-            out.append((1 if mono.sign < 0 else 0, mask))
-        return tuple(out)
+        return tuple(
+            (1 if mono.sign < 0 else 0, poly.mask(c for c, e in mono.powers if e & 1))
+            for mono in self.images
+        )
 
 
 def identity_map(poly: Polygon, word: Sequence[int] | None = None) -> MonomialMap:
@@ -310,17 +306,9 @@ def invert(m: MonomialMap) -> MonomialMap:
     count = poly.chord_count
     inv_rows = _unimodular_inverse(m.exponent_matrix())
     # signs: for every source chord c, sign(c) * prod over d of delta_d^(e mod 2) = +1
-    gf2_rows = []
-    rhs = 0
-    for idx, mono in enumerate(m.images):
-        mask = 0
-        for c, e in mono.powers:
-            if e & 1:
-                mask |= 1 << poly.chord_index[c]
-        gf2_rows.append(mask)
-        if mono.sign < 0:
-            rhs |= 1 << idx
-    delta = _gf2_solve(gf2_rows, rhs, count)
+    table = m.transport_table()
+    rhs = sum(neg << idx for idx, (neg, _) in enumerate(table))
+    delta = _gf2_solve([mask for _, mask in table], rhs, count)
     images = []
     for d in range(count):
         exps = {poly.chords[c]: inv_rows[d][c] for c in range(count) if inv_rows[d][c]}

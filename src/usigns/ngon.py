@@ -12,22 +12,39 @@ its second entry smaller than its last.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Chord = tuple[int, int]
 
+_POLYGONS: dict[int, "Polygon"] = {}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Polygon:
-    """The cyclically labeled n-gon, n >= 4, with cached chord tables."""
+    """The cyclically labeled n-gon, n >= 4, with cached chord tables.
+
+    Interned: ``Polygon(n)`` is one shared instance per n, so each table is
+    built once.
+    """
 
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 4:
-            raise ValueError(f"need at least 4 vertices, got n={self.n}")
+    def __new__(cls, n: int) -> "Polygon":
+        n = operator.index(n)
+        poly = _POLYGONS.get(n)
+        if poly is None:
+            if n < 4:
+                raise ValueError(f"need at least 4 vertices, got n={n}")
+            poly = super().__new__(cls)
+            object.__setattr__(poly, "n", n)
+            poly = _POLYGONS.setdefault(n, poly)
+        return poly
+
+    def __reduce__(self):
+        return Polygon, (self.n,)
 
     @cached_property
     def chords(self) -> tuple[Chord, ...]:
@@ -45,6 +62,21 @@ class Polygon:
     @cached_property
     def chord_index(self) -> dict[Chord, int]:
         return {c: k for k, c in enumerate(self.chords)}
+
+    @cached_property
+    def lengths(self) -> tuple[int, ...]:
+        """Cyclic length of every chord, aligned with ``chords``."""
+        n = self.n
+        return tuple(min(j - i, n - (j - i)) for i, j in self.chords)
+
+    def mask(self, chords: Iterable[Chord]) -> int:
+        """Bitmask over the canonical chord order of the given chords, in
+        either orientation (bit k set = chord k listed)."""
+        index = self.chord_index
+        bits = 0
+        for i, j in chords:
+            bits |= 1 << (index[i, j] if (i, j) in index else index[self.chord(i, j)])
+        return bits
 
     @property
     def chord_count(self) -> int:
@@ -69,17 +101,11 @@ class Polygon:
 
     def chord_length(self, c: Chord) -> int:
         """Cyclic distance between the endpoints, in 2..n//2."""
-        i, j = self.chord(*c)
-        return min(j - i, self.n - (j - i))
+        return self.lengths[self.chord_index[self.chord(*c)]]
 
     @cached_property
     def identity_word(self) -> tuple[int, ...]:
         return tuple(range(1, self.n + 1))
-
-
-def chords(poly: Polygon) -> tuple[Chord, ...]:
-    """Chords of the n-gon in the canonical (lexicographic) order."""
-    return poly.chords
 
 
 def crosses(poly: Polygon, c1: Chord, c2: Chord) -> bool:

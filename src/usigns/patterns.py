@@ -8,7 +8,7 @@ brute-force enumeration and the solver's sign transports cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .ngon import Chord, Polygon
 
@@ -54,11 +54,7 @@ class SignPattern:
 
     @classmethod
     def from_negative_chords(cls, n: int, negatives: Iterable[Chord]) -> "SignPattern":
-        poly = Polygon(n)
-        bits = 0
-        for c in negatives:
-            bits |= 1 << poly.chord_index[poly.chord(*c)]
-        return cls(n, bits)
+        return cls(n, Polygon(n).mask(negatives))
 
     def __len__(self) -> int:
         return Polygon(self.n).chord_count
@@ -68,8 +64,7 @@ class SignPattern:
         return "".join("-" if self.bits >> k & 1 else "+" for k in range(m))
 
     def is_negative(self, c: Chord) -> bool:
-        poly = Polygon(self.n)
-        return bool(self.bits >> poly.chord_index[poly.chord(*c)] & 1)
+        return bool(self.bits & Polygon(self.n).mask((c,)))
 
     def sign(self, c: Chord) -> int:
         """+1 or -1 for one chord."""
@@ -91,11 +86,21 @@ def stats(pattern: SignPattern) -> tuple[int, int | None]:
 
     This is the invariant pair the ordering solver drives down.
     """
-    poly = Polygon(pattern.n)
-    negatives = pattern.negatives()
-    if not negatives:
+    bits = pattern.bits
+    if not bits:
         return 0, None
-    return len(negatives), min(poly.chord_length(c) for c in negatives)
+    lengths = Polygon(pattern.n).lengths
+    return bits.bit_count(), min(d for k, d in enumerate(lengths) if bits >> k & 1)
+
+
+def _negative_keys(pattern: SignPattern) -> Iterator[tuple[int, int, int]]:
+    """(length, a, b) for every negative chord, oriented so that b == a +
+    length mod n; a chord of length n/2 keeps its smaller endpoint first."""
+    poly = Polygon(pattern.n)
+    bits = pattern.bits
+    for k, ((i, j), d) in enumerate(zip(poly.chords, poly.lengths)):
+        if bits >> k & 1:
+            yield (d, i, j) if j - i == d else (d, j, poly.wrap(j + d))
 
 
 def shortest_negative(pattern: SignPattern) -> tuple[int, int]:
@@ -105,19 +110,7 @@ def shortest_negative(pattern: SignPattern) -> tuple[int, int]:
     arcs tie (length n/2) the orientation with the smaller first endpoint is
     used. Ties between chords are broken lexicographically on (a, b).
     """
-    poly = Polygon(pattern.n)
-    n = pattern.n
-    best: tuple[int, int, int] | None = None
-    for c in pattern.negatives():
-        i, j = c
-        d = poly.chord_length(c)
-        if j - i == d:
-            a, b = i, j
-        else:
-            a, b = j, poly.wrap(j + d)
-        key = (d, a, b)
-        if best is None or key < best:
-            best = key
+    best = min(_negative_keys(pattern), default=None)
     if best is None:
         raise ValueError("pattern has no negative chord")
     return best[1], best[2]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -80,13 +80,6 @@ def extended_relations(poly: Polygon) -> tuple[URelation, ...]:
     )
 
 
-def _term_mask(poly: Polygon, term: Iterable[Chord]) -> int:
-    mask = 0
-    for c in term:
-        mask |= 1 << poly.chord_index[c]
-    return mask
-
-
 @lru_cache(maxsize=None)
 def _relation_masks(n: int, primitive_only: bool) -> tuple[tuple[int, int], ...]:
     """Per-relation (mask1, mask2) bit masks over canonical chord indices."""
@@ -95,7 +88,7 @@ def _relation_masks(n: int, primitive_only: bool) -> tuple[tuple[int, int], ...]
     seen = set()
     masks = []
     for r in rels:
-        pair = (_term_mask(poly, r.t1), _term_mask(poly, r.t2))
+        pair = (poly.mask(r.t1), poly.mask(r.t2))
         key = frozenset(pair)
         if key not in seen:
             seen.add(key)
@@ -113,8 +106,8 @@ def contradicts(pattern: SignPattern, relation: URelation) -> bool:
             f"pattern is for n={pattern.n}, relation for n={relation.n}"
         )
     poly = Polygon(relation.n)
-    m1 = _term_mask(poly, relation.t1)
-    m2 = _term_mask(poly, relation.t2)
+    m1 = poly.mask(relation.t1)
+    m2 = poly.mask(relation.t2)
     return bool((pattern.bits & m1).bit_count() & 1) and bool(
         (pattern.bits & m2).bit_count() & 1
     )
@@ -260,10 +253,7 @@ def coarsen(poly: Polygon, cuts: Sequence[int], pattern: SignPattern) -> SignPat
     small = Polygon(k)
     bits = 0
     for idx, (p, q) in enumerate(small.chords):
-        mask = 0
-        for i in intervals[p - 1]:
-            for j in intervals[q - 1]:
-                mask |= 1 << poly.chord_index[poly.chord(i, j)]
+        mask = poly.mask((i, j) for i in intervals[p - 1] for j in intervals[q - 1])
         if (pattern.bits & mask).bit_count() & 1:
             bits |= 1 << idx
     return SignPattern(k, bits)

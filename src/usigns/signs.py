@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .ngon import Polygon, _check_permutation
-from .monomial import MonomialMap, _elementary_images, _sort_positions
+from .monomial import MonomialMap, _arc_swap_sequence, _sort_positions, elementary_map
 from .patterns import SignPattern
 
 
@@ -34,15 +34,38 @@ def transport(pattern: SignPattern, m: MonomialMap) -> SignPattern:
 
 @lru_cache(maxsize=None)
 def _elementary_table(n: int, k: int) -> tuple[tuple[int, int], ...]:
-    poly = Polygon(n)
-    table = []
-    for mono in _elementary_images(poly, k):
-        mask = 0
-        for c, e in mono.powers:
-            if e & 1:
-                mask |= 1 << poly.chord_index[c]
-        table.append((1 if mono.sign < 0 else 0, mask))
-    return tuple(table)
+    return elementary_map(Polygon(n), k).transport_table()
+
+
+def _chain(
+    first: tuple[tuple[int, int], ...], then: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int], ...]:
+    """Table of transport through ``first`` followed by ``then``.
+
+    Transport is affine over GF(2): row r of the chain XORs the ``first``
+    rows that ``then``'s mask_r selects, and the parity of their constants.
+    """
+    shift = _transport_bits(0, first)
+    out = []
+    for neg, mask in then:
+        row, rest = 0, mask
+        while rest:  # over the set bits of mask
+            row ^= first[(rest & -rest).bit_length() - 1][1]
+            rest &= rest - 1
+        out.append((neg ^ ((mask & shift).bit_count() & 1), row))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _transposition_table(n: int, p: int, q: int) -> tuple[tuple[int, int], ...]:
+    """Transport table of ``map_for_transposition(Polygon(n), p, q)``: that
+    map composes its adjacent swaps step_1 innermost, so a pattern passes
+    through step_L's elementary table first and step_1's last."""
+    steps = [_elementary_table(n, k) for k in _arc_swap_sequence(n, p, q)]
+    table = steps.pop()
+    while steps:
+        table = _chain(table, steps.pop())
+    return table
 
 
 def sign_of_ordering(poly: Polygon, word: Sequence[int]) -> SignPattern:

@@ -18,13 +18,11 @@ memoized per (n, p, q).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .ngon import Polygon, canonicalize, compose_transposition
-from .monomial import map_for_transposition
-from .patterns import SignPattern, stats
+from .patterns import SignPattern, _negative_keys, stats
 from .relations import is_consistent
-from .signs import _transport_bits
+from .signs import _transport_bits, _transposition_table
 
 
 class InconsistentPatternError(ValueError):
@@ -80,30 +78,6 @@ class IterationLimitError(RuntimeError):
         self.trace = trace
 
 
-@lru_cache(maxsize=None)
-def _transposition_table(n: int, p: int, q: int) -> tuple[tuple[int, int], ...]:
-    return map_for_transposition(Polygon(n), p, q).transport_table()
-
-
-def _pick_negative(pattern: SignPattern, largest: bool) -> tuple[int, int]:
-    """Oriented shortest negative chord; ties broken lexicographically
-    (or reverse-lexicographically, to probe tie-break independence)."""
-    poly = Polygon(pattern.n)
-    best: tuple[int, int, int] | None = None
-    for c in pattern.negatives():
-        i, j = c
-        d = poly.chord_length(c)
-        if j - i == d:
-            a, b = i, j
-        else:
-            a, b = j, poly.wrap(j + d)
-        key = (d, -a, -b) if largest else (d, a, b)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return abs(best[1]), abs(best[2])
-
-
 def default_iteration_bound(n: int) -> int:
     return 4 * n**3
 
@@ -137,7 +111,11 @@ def solve(
                 f"no all-plus pattern within {bound} iterations",
                 SolverTrace(pattern, tuple(steps)),
             )
-        a, b = _pick_negative(current, largest_tie_break)
+        keys = _negative_keys(current)
+        if largest_tie_break:  # shortest first, ties reverse-lexicographic on (a, b)
+            _, a, b = max(keys, key=lambda key: (-key[0], key[1], key[2]))
+        else:
+            _, a, b = min(keys)
         p = poly.wrap(a + 1)
         q = b
         x, y = word[p - 1], word[q - 1]

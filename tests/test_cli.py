@@ -147,6 +147,13 @@ def test_verify_range(capsys):
     assert code == 3
 
 
+def test_verify_has_no_threads_flag(capsys):
+    # verify is single-threaded; the flag used to be accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "5", "--threads", "2"])
+    assert exc.value.code == 3
+
+
 def test_diagram_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.svg"
     out2 = tmp_path / "b.svg"

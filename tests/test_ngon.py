@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import json
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from usigns import (
     Polygon,
     all_orderings,
     canonicalize,
-    chords,
     compose_transposition,
     crosses,
     crossing_chords,
@@ -25,6 +28,48 @@ def test_polygon_validation():
     assert Polygon(4).chord_count == 2
 
 
+def test_polygon_interned():
+    assert Polygon(8) is Polygon(8)
+    assert Polygon(8) is not Polygon(9)
+    assert Polygon(8).chords is Polygon(8).chords
+
+
+def test_polygon_pickle_and_deepcopy_return_interned_instance():
+    poly = Polygon(8)
+    assert pickle.loads(pickle.dumps(poly)) is poly
+    assert copy.deepcopy(poly) is poly
+    assert copy.copy(poly) is poly
+
+
+def test_polygon_numpy_integer_keeps_plain_int():
+    assert Polygon(np.int64(8)) is Polygon(8)
+    assert type(Polygon(8).n) is int
+    json.dumps({"n": Polygon(8).n})
+
+
+@pytest.mark.parametrize(
+    "bad,error", [(3, ValueError), (-1, ValueError), (8.0, TypeError), ("8", TypeError)]
+)
+def test_polygon_rejects_bad_n(bad, error):
+    with pytest.raises(error):
+        Polygon(bad)
+    with pytest.raises(error):
+        Polygon(bad)  # still raises: nothing was cached
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_mask_and_lengths_tables(n):
+    poly = Polygon(n)
+    assert len(poly.lengths) == len(poly.chords)
+    for k, (i, j) in enumerate(poly.chords):
+        assert poly.lengths[k] == poly.chord_length((i, j)) == min(j - i, n - j + i)
+        assert poly.mask([(i, j)]) == poly.mask([(j, i)]) == poly.mask([[i, j]]) == 1 << k
+    assert poly.mask(poly.chords) == (1 << poly.chord_count) - 1
+    assert poly.mask([]) == 0
+    with pytest.raises(ValueError):
+        poly.mask([(1, 2)])
+
+
 @pytest.mark.parametrize(
     "n,expected",
     [
@@ -37,12 +82,12 @@ def test_polygon_validation():
     ],
 )
 def test_chords_canonical_order(n, expected):
-    assert list(chords(Polygon(n))) == expected
+    assert list(Polygon(n).chords) == expected
 
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_chord_count_formula(n):
-    assert len(chords(Polygon(n))) == n * (n - 3) // 2
+    assert len(Polygon(n).chords) == n * (n - 3) // 2
 
 
 def test_crosses_examples():
@@ -74,7 +119,7 @@ def _interleaved(n: int, c1, c2) -> bool:
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_crosses_against_interleaving(n):
     poly = Polygon(n)
-    for c1, c2 in itertools.combinations(chords(poly), 2):
+    for c1, c2 in itertools.combinations(poly.chords, 2):
         expected = not set(c1) & set(c2) and _interleaved(n, c1, c2)
         assert crosses(poly, c1, c2) == expected
         assert crosses(poly, c2, c1) == expected
@@ -84,7 +129,7 @@ def test_crosses_against_interleaving(n):
 def test_crossing_set_size(n):
     # a chord with p and q interior vertices on its two arcs crosses p*q chords
     poly = Polygon(n)
-    for c in chords(poly):
+    for c in poly.chords:
         d = poly.chord_length(c)
         assert len(crossing_chords(poly, c)) == (d - 1) * (n - d - 1)
 

@@ -23,7 +23,7 @@ from usigns import (
     transport,
 )
 from usigns.monomial import _sort_positions
-from usigns.signs import _elementary_table, _transport_bits
+from usigns.signs import _elementary_table, _transport_bits, _transposition_table
 
 from conftest import PENTAGON_TABLE, consistent_bits, rotate_pattern
 
@@ -127,6 +127,15 @@ def test_transport_functorial_stepwise():
         for k in reversed(list(_sort_positions(word))):
             bits = _transport_bits(bits, _elementary_table(6, k))
         assert full.bits == bits
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_transposition_table_matches_laurent_route(n):
+    # the GF(2)-composed table agrees with the full Laurent map's parities
+    poly = Polygon(n)
+    for p, q in itertools.permutations(range(1, n + 1), 2):
+        expected = map_for_transposition(poly, p, q).transport_table()
+        assert _transposition_table(n, p, q) == expected
 
 
 @pytest.mark.parametrize("n", [7, 8])
