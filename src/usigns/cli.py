@@ -134,8 +134,10 @@ def cmd_count(args) -> int:
 
     progress = None
     if args.n >= 9:
+        unit = "chunks" if args.primitive_only else "levels"
+
         def progress(done: int, total: int) -> None:
-            print(f"\rchunks {done}/{total}", end="", file=sys.stderr, flush=True)
+            print(f"\r{unit} {done}/{total}", end="", file=sys.stderr, flush=True)
 
     if args.out:
         count = 0
@@ -150,7 +152,6 @@ def cmd_count(args) -> int:
             poly,
             primitive_only=args.primitive_only,
             cap=args.cap,
-            threads=args.threads,
             progress=progress,
         )
     if progress is not None:
@@ -333,7 +334,6 @@ def build_parser() -> _Parser:
     p.add_argument("n", type=int)
     p.add_argument("--primitive-only", action="store_true")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="also stream the consistent patterns to this file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_count)

@@ -87,8 +87,11 @@ class Polygon:
         return (v - 1) % self.n + 1
 
     def chord(self, a: int, b: int) -> Chord:
-        """Canonical form of the chord between vertices a and b."""
-        a, b = self.wrap(a), self.wrap(b)
+        """Canonical form of the chord between vertices a and b.
+
+        Labels outside 1..n are rejected, not wrapped; callers doing cyclic
+        arithmetic apply ``wrap`` first.
+        """
         if a > b:
             a, b = b, a
         if (a, b) not in self.chord_index:
@@ -96,7 +99,6 @@ class Polygon:
         return (a, b)
 
     def is_chord(self, a: int, b: int) -> bool:
-        a, b = self.wrap(a), self.wrap(b)
         return (min(a, b), max(a, b)) in self.chord_index
 
     def chord_length(self, c: Chord) -> int:

@@ -3,7 +3,7 @@
 A sign pattern assigns + or - to every chord, i.e. it picks an orthant of the
 ambient space of the dihedral embedding. Patterns are backed by an integer
 bitmask in the canonical chord order (bit set = negative), which keeps the
-brute-force enumeration and the solver's sign transports cheap.
+enumeration and the solver's sign transports cheap.
 """
 from __future__ import annotations
 

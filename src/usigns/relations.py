@@ -5,9 +5,24 @@ one". A sign pattern contradicts a relation exactly when both products come
 out negative (two negative reals cannot sum to 1; every other sign combination
 is achievable), and is consistent when it contradicts no extended relation.
 
-The exhaustive enumeration over all 2^(n(n-3)/2) patterns is the hot path:
-it runs on numpy parity tables over the low bits of the pattern index, chunked
-so n = 9 (2^27 patterns, 126 relations) stays in the minutes range on one core.
+Extended-consistent patterns are enumerated by lifting through coarsening.
+Merging vertices n-1 and n (``coarsen(poly, range(1, n), pattern)``) sends
+every consistent n-pattern to a consistent (n-1)-pattern, because each small
+relation is the image of an n-gon relation with the same term parities. The
+fibre over a small pattern is a coset of 2^(n-2) lifts, spanned by
+- flipping (i, n-1) and (i, n) together, for each i in 2..n-3;
+- flipping (1, n-1);
+- flipping (n-2, n).
+An extended relation with no cut at n keeps n-1 and n in one interval, so
+every lift already satisfies it; a lift only has to be checked against the
+C(n-1, 3) relations with a cut at n. Lifting level by level from the
+triangle's single (empty) pattern yields the n-gon's consistent patterns
+while touching only the consistent ones of each smaller polygon.
+
+Coarsening does not preserve primitive-only consistency, so the primitive
+count scans all 2^(n(n-3)/2) patterns on numpy parity tables over the low
+bits of the pattern index, in chunks. That scan also serves as the test
+reference for the lift.
 """
 from __future__ import annotations
 
@@ -25,10 +40,10 @@ DEFAULT_ENUMERATION_CAP = 9
 
 _CHUNK_BITS = 18
 
-# parity of the popcount of each byte
-_BYTE_PARITY = np.array(
-    [bin(b).count("1") & 1 for b in range(256)], dtype=np.uint8
-)
+# chord bits of the 12-gon (54) are the most a uint64 pattern holds
+_LIFT_MAX_N = 12
+# most uint64 words one lift block gathers
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -124,14 +139,6 @@ def is_consistent(poly: Polygon, pattern: SignPattern, primitive_only: bool = Fa
     return True
 
 
-def _parity_table(mask: int, width: int) -> np.ndarray:
-    """uint8 array p of length 2**width with p[x] = parity(popcount(x & mask))."""
-    x = np.arange(1 << width, dtype=np.uint32) & np.uint32(mask)
-    x ^= x >> np.uint32(16)
-    x ^= x >> np.uint32(8)
-    return _BYTE_PARITY[x & np.uint32(0xFF)]
-
-
 def _consistent_flags_chunk(
     n: int, primitive_only: bool, low_bits: int, high: int
 ) -> np.ndarray:
@@ -160,9 +167,15 @@ def _consistent_flags_chunk(
 def _parity_tables_low(
     n: int, primitive_only: bool, low_bits: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per relation, uint8 arrays p1, p2 over x in 0..2**low_bits - 1 with
+    p[x] the parity of x & (low bits of the term mask)."""
+    x = np.arange(1 << low_bits, dtype=np.uint32)
     low_mask = (1 << low_bits) - 1
     return tuple(
-        (_parity_table(m1 & low_mask, low_bits), _parity_table(m2 & low_mask, low_bits))
+        (
+            np.bitwise_count(x & np.uint32(m1 & low_mask)) & 1,
+            np.bitwise_count(x & np.uint32(m2 & low_mask)) & 1,
+        )
         for m1, m2 in _relation_masks(n, primitive_only)
     )
 
@@ -181,44 +194,127 @@ def _chunk_plan(n: int) -> tuple[int, int]:
     return low_bits, 1 << (m - low_bits)
 
 
+def _scanned(n: int, primitive_only: bool) -> Iterator[int]:
+    """Brute force: every consistent pattern's bits, in increasing order."""
+    low_bits, n_chunks = _chunk_plan(n)
+    for high in range(n_chunks):
+        flags = _consistent_flags_chunk(n, primitive_only, low_bits, high)
+        base = high << low_bits
+        for low in np.flatnonzero(flags).tolist():
+            yield base + low
+
+
+@lru_cache(maxsize=None)
+def _lift_plan(n: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Tables that lift consistent (n-1)-gon patterns to the n-gon.
+
+    - ``scatter``: (mask, shift) runs that move each small chord's bit up to
+      the n-gon chord with the same labels, vertex n-1 standing for the pair.
+    - ``fibre``: the 2^(n-2) XOR masks of the coset over one small pattern.
+    - ``m1``, ``m2``: the term masks of the C(n-1, 3) extended relations with
+      a cut at n (distinct relations, so no deduplication is needed).
+    - ``ok[r, 2a + c]``: a bitset over the fibre (uint64 words), bit f set when
+      the lift by ``fibre[f]`` satisfies relation r, given a scattered pattern
+      whose terms under r have parities a and c.
+    """
+    poly = Polygon(n)
+    small = Polygon(n - 1).chords if n > 4 else ()
+    runs: dict[int, int] = {}
+    for k, c in enumerate(small):
+        shift = poly.chord_index[c] - k
+        runs[shift] = runs.get(shift, 0) | 1 << k
+    scatter = tuple((np.uint64(mask), np.uint64(shift)) for shift, mask in runs.items())
+    flips = [poly.mask(((i, n - 1), (i, n))) for i in range(2, n - 2)]
+    flips += [poly.mask(((1, n - 1),)), poly.mask(((n - 2, n),))]
+    fibre = np.zeros(1, dtype=np.uint64)
+    for f in flips:
+        fibre = np.concatenate((fibre, fibre ^ np.uint64(f)))
+    rels = [
+        extended_relation(poly, cuts + (n,))
+        for cuts in itertools.combinations(range(1, n), 3)
+    ]
+    m1 = np.array([poly.mask(r.t1) for r in rels], dtype=np.uint64)
+    m2 = np.array([poly.mask(r.t2) for r in rels], dtype=np.uint64)
+    odd1 = np.bitwise_count(fibre & m1[:, None]) & 1
+    odd2 = np.bitwise_count(fibre & m2[:, None]) & 1
+    ok = np.zeros((len(rels), 4, max(64, len(fibre))), dtype=bool)
+    for a, c in itertools.product((0, 1), repeat=2):
+        ok[:, 2 * a + c, : len(fibre)] = ((a ^ odd1) & (c ^ odd2)) == 0
+    ok = np.packbits(ok, axis=2, bitorder="little").view("<u8")
+    for table in (fibre, m1, m2, ok):
+        table.setflags(write=False)  # shared by every caller of the cache
+    return scatter, fibre, m1, m2, ok
+
+
+def _lift(n: int, small: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(base, allowed) per block of the consistent (n-1)-gon patterns ``small``.
+
+    ``base[s]`` is small pattern s scattered onto the n-gon; bit f of row
+    ``allowed[s]`` is set when ``base[s] ^ fibre[f]`` is consistent. A block's
+    gather holds at most _BLOCK_ENTRIES words.
+    """
+    scatter, _, m1, m2, ok = _lift_plan(n)
+    rows = np.arange(len(m1))
+    step = max(1, _BLOCK_ENTRIES // (ok.shape[0] * ok.shape[2]))
+    for start in range(0, len(small), step):
+        block = small[start : start + step]
+        base = np.zeros_like(block)
+        for mask, shift in scatter:
+            base |= (block & mask) << shift
+        key = np.bitwise_count(base[:, None] & m1) & 1
+        key <<= 1
+        key |= np.bitwise_count(base[:, None] & m2) & 1
+        yield base, np.bitwise_and.reduce(ok[rows, key], axis=1)
+
+
+def _expand(n: int, base: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """The n-gon patterns a (base, allowed) block of ``_lift`` stands for."""
+    fibre = _lift_plan(n)[1]
+    s, f = np.nonzero(np.unpackbits(allowed.view(np.uint8), axis=1, bitorder="little"))
+    return base[s] ^ fibre[f]
+
+
+def _lifted(n: int, progress=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``_lift`` blocks of the consistent extended n-gon patterns, lifted level
+    by level from the single (empty) pattern of the triangle."""
+    if n > _LIFT_MAX_N:
+        raise ValueError(f"n={n} has more chords than a uint64 holds (n <= {_LIFT_MAX_N})")
+    level = np.zeros(1, dtype=np.uint64)
+    for m in range(4, n):
+        level = np.concatenate([_expand(m, *block) for block in _lift(m, level)])
+        if progress is not None:
+            progress(m - 3, n - 3)
+    yield from _lift(n, level)
+    if progress is not None:
+        progress(n - 3, n - 3)
+
+
 def count_consistent(
     poly: Polygon,
     primitive_only: bool = False,
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
     progress=None,
 ) -> int:
     """Count sign patterns consistent with the chosen relation set.
 
-    Iterates all 2^(n(n-3)/2) patterns in chunks; ``threads`` workers process
-    chunks concurrently but the result is independent of the thread count.
-    ``progress`` (chunks_done, chunks_total) is called after each chunk.
+    Extended relations lift level by level; ``progress(levels_done,
+    levels_total)`` is called after each level. Primitive-only scans all
+    2^(n(n-3)/2) patterns in chunks; ``progress(chunks_done, chunks_total)``
+    is called after each chunk.
     """
     _check_cap(poly, cap)
+    if not primitive_only:
+        blocks = _lifted(poly.n, progress)
+        return sum(int(np.bitwise_count(allowed).sum()) for _, allowed in blocks)
     low_bits, n_chunks = _chunk_plan(poly.n)
-
-    def work(high: int) -> int:
-        return int(
-            np.count_nonzero(
-                _consistent_flags_chunk(poly.n, primitive_only, low_bits, high)
-            )
-        )
-
     total = 0
-    if threads > 1 and n_chunks > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for done, part in enumerate(pool.map(work, range(n_chunks)), 1):
-                total += part
-                if progress is not None:
-                    progress(done, n_chunks)
-    else:
-        for done, high in enumerate(range(n_chunks), 1):
-            total += work(high)
-            if progress is not None:
-                progress(done, n_chunks)
+    for high in range(n_chunks):
+        total += int(
+            np.count_nonzero(_consistent_flags_chunk(poly.n, True, low_bits, high))
+        )
+        if progress is not None:
+            progress(high + 1, n_chunks)
     return total
 
 
@@ -230,12 +326,13 @@ def consistent_patterns(
 ) -> Iterator[SignPattern]:
     """Stream the consistent patterns in increasing bitmask order."""
     _check_cap(poly, cap)
-    low_bits, n_chunks = _chunk_plan(poly.n)
-    for high in range(n_chunks):
-        flags = _consistent_flags_chunk(poly.n, primitive_only, low_bits, high)
-        base = high << low_bits
-        for low in np.flatnonzero(flags):
-            yield SignPattern(poly.n, base + int(low))
+    if primitive_only:
+        bits = _scanned(poly.n, True)
+    else:
+        blocks = [_expand(poly.n, *block) for block in _lifted(poly.n)]
+        bits = np.sort(np.concatenate(blocks)).tolist()
+    for b in bits:
+        yield SignPattern(poly.n, b)
 
 
 def coarsen(poly: Polygon, cuts: Sequence[int], pattern: SignPattern) -> SignPattern:

@@ -327,6 +327,21 @@ def test_c11_octagon_heptagon_exclusions():
 @pytest.mark.stretch
 def test_c12_stretch_nine_gon_count():
     t0 = time.time()
-    count = count_consistent(Polygon(9), threads=2)
+    count = count_consistent(Polygon(9))
     assert count == 20160 == ordering_count(Polygon(9))
     report("12 stretch n=9", f"20160 = 8!/2 in {time.time()-t0:.1f}s")
+
+
+def test_c13_ten_gon_count():
+    t0 = time.time()
+    count = count_consistent(Polygon(10), cap=10)
+    assert count == 181440 == ordering_count(Polygon(10))
+    report("13 n=10", f"181440 = 9!/2 in {time.time()-t0:.1f}s")
+
+
+@pytest.mark.stretch
+def test_c14_stretch_eleven_gon_count():
+    t0 = time.time()
+    count = count_consistent(Polygon(11), cap=11)
+    assert count == 1814400 == ordering_count(Polygon(11))
+    report("14 stretch n=11", f"1814400 = 10!/2 in {time.time()-t0:.1f}s")

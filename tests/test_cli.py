@@ -63,6 +63,13 @@ def test_count_cap(capsys):
     assert code == 3
 
 
+def test_count_has_no_threads_flag(capsys):
+    # count runs no thread pool; an unknown flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "7", "--threads", "2"])
+    assert exc.value.code == 3
+
+
 def test_count_out_file(tmp_path, capsys):
     path = tmp_path / "patterns.txt"
     code, out, _ = run(capsys, "count", "5", "--out", str(path))

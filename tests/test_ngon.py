@@ -70,6 +70,22 @@ def test_mask_and_lengths_tables(n):
         poly.mask([(1, 2)])
 
 
+def test_chord_rejects_labels_outside_polygon():
+    # labels are not wrapped: 0 and 7..9 are not vertices of the hexagon
+    poly = Polygon(6)
+    with pytest.raises(ValueError):
+        poly.chord(0, 3)
+    with pytest.raises(ValueError):
+        poly.chord(7, 9)
+    assert not poly.is_chord(7, 9)
+    assert not poly.is_chord(0, 3)
+    assert poly.is_chord(1, 3) and poly.chord(3, 6) == (3, 6)
+    with pytest.raises(ValueError):
+        poly.chord_length((7, 9))
+    with pytest.raises(ValueError):
+        poly.mask([(7, 9)])
+
+
 @pytest.mark.parametrize(
     "n,expected",
     [

@@ -30,6 +30,13 @@ def test_from_negative_chords():
     assert str(s) == "-+++++++-"
 
 
+def test_vertices_outside_polygon_rejected():
+    with pytest.raises(ValueError):
+        SignPattern.from_negative_chords(6, [(7, 9)])
+    with pytest.raises(ValueError):
+        SignPattern.all_plus(6).is_negative((0, 3))
+
+
 def test_stats_examples():
     assert stats(SignPattern.all_plus(6)) == (0, None)
     assert stats(SignPattern.all_minus(5)) == (5, 2)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from usigns import (
     primitive_relation,
     primitive_relations,
 )
-from usigns.relations import _relation_masks
+from usigns.relations import _lift_plan, _relation_masks, _scanned
 
 from conftest import consistent_bits, reflect_pattern, rotate_pattern
 
@@ -159,16 +160,54 @@ def test_consistent_counts(n, primitive, extended):
     assert count_consistent(poly, primitive_only=True) == primitive
 
 
-def test_count_threads_deterministic():
-    poly = Polygon(7)
-    assert count_consistent(poly, threads=3) == 360
-
-
 def test_count_cap():
     with pytest.raises(ValueError):
         count_consistent(Polygon(10))
     with pytest.raises(ValueError):
         list(consistent_patterns(Polygon(10)))
+
+
+@pytest.mark.parametrize(
+    "n", [4, 5, 6, 7, 8, pytest.param(9, marks=pytest.mark.stretch)]
+)
+def test_lift_matches_brute_force_kernel(n):
+    # the chunked scan over all 2^(n(n-3)/2) patterns is the reference
+    lifted = [p.bits for p in consistent_patterns(Polygon(n))]
+    assert lifted == list(_scanned(n, False))
+    assert count_consistent(Polygon(n)) == len(lifted)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_lift_fibre_is_coarsening_kernel(n):
+    poly = Polygon(n)
+    merge = tuple(range(1, n))
+    _, fibre, m1, m2, _ = _lift_plan(n)
+    assert len(set(fibre.tolist())) == len(fibre) == 1 << (n - 2)
+    for f in fibre.tolist():
+        assert coarsen(poly, merge, SignPattern(n, f)) == SignPattern.all_plus(n - 1)
+    # one relation per 3 further cuts beside the cut at n
+    assert len(m1) == len(m2) == math.comb(n - 1, 3)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_lifted_patterns_coarsen_to_consistent(n):
+    poly, small = Polygon(n), Polygon(n - 1)
+    merge = tuple(range(1, n))
+    for p in consistent_patterns(poly):
+        assert is_consistent(small, coarsen(poly, merge, p))
+
+
+def test_lift_rejects_n_beyond_uint64():
+    with pytest.raises(ValueError):
+        count_consistent(Polygon(13), cap=13)
+    with pytest.raises(ValueError):
+        list(consistent_patterns(Polygon(13), cap=13))
+
+
+def test_count_progress_reports_levels():
+    calls = []
+    assert count_consistent(Polygon(7), progress=lambda *a: calls.append(a)) == 360
+    assert calls == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
 
 def test_stream_matches_count():
