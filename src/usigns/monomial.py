@@ -3,7 +3,8 @@
 A chart is "the n-gon with positions 1..n"; a map sends each chord of its
 source chart to a signed monomial in the chords of its target chart. The
 formulas are purely positional; the source/target ordering words are carried
-only as labels so that composition can refuse mismatched charts.
+as labels, so that composition can refuse mismatched charts and inversion can
+walk from the target chart back to the source chart.
 
 Direction convention: a map is a ring map, source-chart variables expressed
 in target-chart variables. ``map_for_ordering(word)`` goes from the chart of
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .ngon import Chord, Polygon, _check_permutation
 
@@ -98,17 +99,6 @@ class MonomialMap:
             for (i, j), mono in zip(self.poly.chords, self.images)
         )
 
-    def exponent_matrix(self) -> list[list[int]]:
-        """Rows = source chords, columns = target chords, both canonical."""
-        poly = self.poly
-        rows = []
-        for mono in self.images:
-            row = [0] * poly.chord_count
-            for c, e in mono.powers:
-                row[poly.chord_index[c]] = e
-            rows.append(row)
-        return rows
-
     def transport_table(self) -> tuple[tuple[int, int], ...]:
         """(negative-bit, odd-exponent mask) per source chord, for fast sign
         transport through this map."""
@@ -172,6 +162,14 @@ def _swap_positions(word: Word, k: int, n: int) -> Word:
     return tuple(out)
 
 
+def _elementary_step(poly: Polygon, source: Word, k: int) -> MonomialMap:
+    """Elementary map from chart ``source`` to ``source`` with the entries at
+    positions k, k+1 swapped."""
+    return MonomialMap(
+        poly.n, source, _swap_positions(source, k, poly.n), _elementary_images(poly, k)
+    )
+
+
 def elementary_map(poly: Polygon, k: int) -> MonomialMap:
     """Chart change for the adjacent transposition at positions k, k+1 mod n.
 
@@ -180,18 +178,7 @@ def elementary_map(poly: Polygon, k: int) -> MonomialMap:
     """
     if not 1 <= k <= poly.n:
         raise ValueError(f"position k must be in 1..{poly.n}, got {k}")
-    target = poly.identity_word
-    return MonomialMap(
-        poly.n, _swap_positions(target, k, poly.n), target, _elementary_images(poly, k)
-    )
-
-
-def _elementary_step(poly: Polygon, word: Word, k: int) -> MonomialMap:
-    """Elementary map whose target chart is ``word`` (source: word with the
-    entries at positions k, k+1 swapped)."""
-    return MonomialMap(
-        poly.n, _swap_positions(word, k, poly.n), word, _elementary_images(poly, k)
-    )
+    return _elementary_step(poly, _swap_positions(poly.identity_word, k, poly.n), k)
 
 
 def compose(outer: MonomialMap, inner: MonomialMap) -> MonomialMap:
@@ -223,6 +210,15 @@ def compose(outer: MonomialMap, inner: MonomialMap) -> MonomialMap:
     return MonomialMap(outer.n, inner.source, outer.target, tuple(images))
 
 
+def _fold(poly: Polygon, source: Word, ks: Iterable[int]) -> MonomialMap:
+    """Compose the elementary steps that walk chart ``source`` through the
+    adjacent position swaps ``ks``; the map ends at the chart reached."""
+    total = identity_map(poly, source)
+    for k in ks:
+        total = compose(_elementary_step(poly, total.target, k), total)
+    return total
+
+
 def _sort_positions(word: Word) -> Iterator[int]:
     """First-descent bubble sort; yields each swapped position pair's k.
 
@@ -241,6 +237,20 @@ def _sort_positions(word: Word) -> Iterator[int]:
             return
 
 
+def _chart_change(poly: Polygon, source: Sequence[int], target: Sequence[int]) -> MonomialMap:
+    """The chart change from the chart of ``source`` to the chart of ``target``.
+
+    The formulas are positional, so relabeling ``source`` by the positions of
+    its labels in ``target`` gives a word whose sorting swaps walk ``source``
+    to ``target``.
+    """
+    source, target = _check_permutation(source), _check_permutation(target)
+    if len(source) != poly.n or len(target) != poly.n:
+        raise ValueError(f"words {source}, {target} do not both have length n={poly.n}")
+    position = {label: p for p, label in enumerate(target, 1)}
+    return _fold(poly, source, _sort_positions(tuple(position[v] for v in source)))
+
+
 def map_for_ordering(poly: Polygon, word: Sequence[int]) -> MonomialMap:
     """The chart change from the chart of ``word`` to the standard chart.
 
@@ -248,18 +258,7 @@ def map_for_ordering(poly: Polygon, word: Sequence[int]) -> MonomialMap:
     and composing the elementary maps along the way; any valid adjacent-swap
     sorting yields the same map.
     """
-    word = _check_permutation(word)
-    if len(word) != poly.n:
-        raise ValueError(f"word has length {len(word)}, polygon has n={poly.n}")
-    total: MonomialMap | None = None
-    cur = word
-    for k in _sort_positions(word):
-        step = _elementary_step(poly, _swap_positions(cur, k, poly.n), k)
-        total = step if total is None else compose(step, total)
-        cur = step.target
-    if cur != poly.identity_word:
-        raise AssertionError("sorting did not reach the identity word")
-    return identity_map(poly) if total is None else total
+    return _chart_change(poly, word, poly.identity_word)
 
 
 def _arc_swap_sequence(n: int, p: int, q: int) -> list[int]:
@@ -278,106 +277,27 @@ def map_for_transposition(poly: Polygon, p: int, q: int) -> MonomialMap:
     q (wrapping allowed), so (p, q) and (q, p) take different routes to the
     same map.
     """
-    n = poly.n
     if poly.wrap(p) == poly.wrap(q):
         raise ValueError("positions must differ")
     p, q = poly.wrap(p), poly.wrap(q)
     word = list(poly.identity_word)
     word[p - 1], word[q - 1] = word[q - 1], word[p - 1]
-    cur = tuple(word)
-    total: MonomialMap | None = None
-    for k in _arc_swap_sequence(n, p, q):
-        step = _elementary_step(poly, _swap_positions(cur, k, n), k)
-        total = step if total is None else compose(step, total)
-        cur = step.target
-    assert cur == poly.identity_word
-    assert total is not None
-    return total
+    return _fold(poly, tuple(word), _arc_swap_sequence(poly.n, p, q))
 
 
 def invert(m: MonomialMap) -> MonomialMap:
     """The two-sided inverse chart change.
 
-    The exponent matrix of a well-formed map is unimodular over the integers;
-    its inverse gives the exponents, and the sign vector solves a linear
-    system over GF(2).
+    Every chart change is a product of involutive elementary steps, so its
+    inverse is the chart change from its target back to its source. A map
+    whose images are not the chart change between its own source and target
+    labels (for instance one with a non-unimodular exponent matrix) raises
+    ``ValueError``.
     """
-    poly = m.poly
-    count = poly.chord_count
-    inv_rows = _unimodular_inverse(m.exponent_matrix())
-    # signs: for every source chord c, sign(c) * prod over d of delta_d^(e mod 2) = +1
-    table = m.transport_table()
-    rhs = sum(neg << idx for idx, (neg, _) in enumerate(table))
-    delta = _gf2_solve([mask for _, mask in table], rhs, count)
-    images = []
-    for d in range(count):
-        exps = {poly.chords[c]: inv_rows[d][c] for c in range(count) if inv_rows[d][c]}
-        sign = -1 if delta >> d & 1 else 1
-        images.append(SignedMonomial.make(sign, exps))
-    return MonomialMap(m.n, m.target, m.source, tuple(images))
-
-
-def _unimodular_inverse(matrix: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    size = len(matrix)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(r == c)) for c in range(size)]
-        for r, row in enumerate(matrix)
-    ]
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("exponent matrix is singular; map is malformed")
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv_pivot = 1 / aug[col][col]
-        aug[col] = [v * inv_pivot for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    if det not in (1, -1):
-        raise ValueError(f"exponent matrix is not unimodular (det={det})")
-    out = []
-    for r in range(size):
-        row = []
-        for v in aug[r][size:]:
-            assert v.denominator == 1
-            row.append(int(v))
-        out.append(row)
-    return out
-
-
-def _gf2_solve(rows: list[int], rhs: int, width: int) -> int:
-    """Solve M x = b over GF(2) by Gauss-Jordan; rows are column bitmasks,
-    bit r of rhs is b_r. Requires M invertible (true for unimodular maps)."""
-    pivots: dict[int, tuple[int, int]] = {}
-    for r, row in enumerate(rows):
-        val = rhs >> r & 1
-        for col, (prow, pval) in pivots.items():
-            if row >> col & 1:
-                row ^= prow
-                val ^= pval
-        if row == 0:
-            if val:
-                raise ValueError("inconsistent GF(2) system; map is malformed")
-            continue
-        col = row.bit_length() - 1
-        for c2, (prow, pval) in list(pivots.items()):
-            if prow >> col & 1:
-                pivots[c2] = (prow ^ row, pval ^ val)
-        pivots[col] = (row, val)
-    if len(pivots) != width:
-        raise ValueError("exponent matrix is singular mod 2; map is malformed")
-    x = 0
-    for col, (row, val) in pivots.items():
-        assert row == 1 << col
-        if val:
-            x |= 1 << col
-    return x
+    inv = _chart_change(m.poly, m.target, m.source)
+    if not (compose(m, inv).is_identity() and compose(inv, m).is_identity()):
+        raise ValueError("map is not the chart change between its source and target")
+    return inv
 
 
 def evaluate(m: MonomialMap, vals: Mapping[Chord, Fraction]) -> dict[Chord, Fraction]:

@@ -12,6 +12,10 @@ from typing import Iterable, Iterator
 
 from .ngon import Chord, Polygon
 
+# binary digits <-> sign characters; chord k is bit k, so strings read reversed
+_TO_SIGNS = str.maketrans("01", "+-")
+_FROM_SIGNS = str.maketrans("+-", "01")
+
 
 @dataclass(frozen=True)
 class SignPattern:
@@ -41,11 +45,7 @@ class SignPattern:
             raise ValueError(
                 f"pattern must be {m} characters over '+'/'-', got {s!r}"
             )
-        bits = 0
-        for k, ch in enumerate(s):
-            if ch == "-":
-                bits |= 1 << k
-        return cls(n, bits)
+        return cls(n, int(s[::-1].translate(_FROM_SIGNS), 2))
 
     @classmethod
     def from_signs(cls, n: int, signs: Iterable[int]) -> "SignPattern":
@@ -61,7 +61,7 @@ class SignPattern:
 
     def __str__(self) -> str:
         m = Polygon(self.n).chord_count
-        return "".join("-" if self.bits >> k & 1 else "+" for k in range(m))
+        return format(self.bits, f"0{m}b")[::-1].translate(_TO_SIGNS)
 
     def is_negative(self, c: Chord) -> bool:
         return bool(self.bits & Polygon(self.n).mask((c,)))

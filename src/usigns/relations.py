@@ -59,10 +59,6 @@ class URelation:
     t2: tuple[Chord, ...]
     cuts: tuple[int, int, int, int] | None = None
 
-    def term_key(self) -> frozenset[frozenset[Chord]]:
-        """Unordered view of the two terms, for symmetry-aware comparison."""
-        return frozenset((frozenset(self.t1), frozenset(self.t2)))
-
 
 def primitive_relation(poly: Polygon, c: Chord) -> URelation:
     """The relation u_c + prod(chords crossing c) = 1."""

@@ -22,7 +22,6 @@ from usigns import (
     relations_vanish,
     u_values,
 )
-from usigns.monomial import _unimodular_inverse
 
 from conftest import label_chord
 
@@ -159,13 +158,19 @@ def test_lemma_closed_form_for_short_chord_under_1l():
             assert m.image((1, l - 1)) == SignedMonomial.make(-1, exps)
 
 
-@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_invert_roundtrip(n):
+    # an integer two-sided inverse under compose is exactly unimodularity
     poly = Polygon(n)
     rng = random.Random(31337 + n)
     words = list(all_orderings(poly))
-    for word in rng.sample(words, min(25, len(words))):
-        m = map_for_ordering(poly, word)
+    sample = rng.sample(words, min(25, len(words)))
+    ordering_maps = [map_for_ordering(poly, word) for word in sample]
+    between_maps = [  # from the chart of w1 to the chart of w2, neither standard
+        compose(invert(map_for_ordering(poly, w2)), map_for_ordering(poly, w1))
+        for w1, w2 in zip(sample[:10], sample[10:20])
+    ]
+    for m in ordering_maps + between_maps:
         mi = invert(m)
         assert mi.source == m.target and mi.target == m.source
         assert compose(m, mi).is_identity()
@@ -177,21 +182,34 @@ def test_invert_identity():
     assert invert(identity_map(poly)).is_identity()
 
 
-def test_unimodular_inverse_checks():
-    assert _unimodular_inverse([[1, 1], [0, 1]]) == [[1, -1], [0, 1]]
-    with pytest.raises(ValueError):
-        _unimodular_inverse([[2, 0], [0, 1]])  # det 2
-    with pytest.raises(ValueError):
-        _unimodular_inverse([[1, 1], [1, 1]])  # singular
+def test_invert_golden():
+    m = invert(map_for_ordering(Polygon(5), (1, 4, 2, 5, 3)))
+    assert m.source == (1, 2, 3, 4, 5) and m.target == (1, 4, 2, 5, 3)
+    assert m.render() == "\n".join(
+        [
+            "u[1,3] -> -u[1,3]^-1*u[1,4]^-1*u[2,5]",
+            "u[1,4] -> -u[1,3]*u[2,4]^-1*u[2,5]^-1",
+            "u[2,4] -> -u[1,3]^-1*u[2,4]*u[3,5]^-1",
+            "u[2,5] -> -u[1,4]^-1*u[2,4]^-1*u[3,5]",
+            "u[3,5] -> -u[1,4]*u[2,5]^-1*u[3,5]^-1",
+        ]
+    )
 
 
-@pytest.mark.parametrize("n", [5, 6, 7])
-def test_exponent_matrix_unimodular(n):
-    poly = Polygon(n)
-    rng = random.Random(n)
-    words = list(all_orderings(poly))
-    for word in rng.sample(words, min(15, len(words))):
-        _unimodular_inverse(map_for_ordering(poly, word).exponent_matrix())
+def test_invert_rejects_malformed_maps():
+    poly = Polygon(5)
+    ident = poly.identity_word
+    doubled = tuple(u(1, (c, 2)) for c in poly.chords)  # det 2^5
+    rows = identity_map(poly).images
+    singular = (rows[1],) + rows[1:]  # two equal image rows
+    for images in (doubled, singular):
+        with pytest.raises(ValueError):
+            invert(MonomialMap(5, ident, ident, images))
+    # elementary images are invertible, but are not the chart change from the
+    # standard chart to itself that these labels name
+    for k in range(1, 6):
+        with pytest.raises(ValueError):
+            invert(MonomialMap(5, ident, ident, elementary_map(poly, k).images))
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import doctest
 import itertools
 import json
 import pickle
@@ -9,6 +10,7 @@ import random
 import numpy as np
 import pytest
 
+import usigns.ngon
 from usigns import (
     Polygon,
     all_orderings,
@@ -198,6 +200,11 @@ def test_compose_transposition_ten_point_example():
     for x, y in [(7, 8), (9, 10), (4, 6), (7, 9), (6, 8), (5, 4)]:
         word = compose_transposition(word, x, y)
     assert word == (1, 2, 3, 8, 4, 5, 6, 9, 10, 7)
+
+
+def test_ngon_doctests():
+    results = doctest.testmod(usigns.ngon)
+    assert results.failed == 0 and results.attempted > 0
 
 
 def test_cyclic_intervals():

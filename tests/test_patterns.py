@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from usigns import SignPattern, shortest_negative, stats
+from usigns import Polygon, SignPattern, shortest_negative, stats
 
 from conftest import DECAGON_NEGATIVES
 
@@ -14,6 +16,16 @@ def test_parse_and_format_roundtrip():
     assert s.sign((1, 3)) == -1
     assert s.sign((1, 4)) == 1
     assert len(s) == 5
+    rng = random.Random(5)
+    for n in range(4, 13):
+        poly = Polygon(n)
+        patterns = [SignPattern.all_plus(n), SignPattern.all_minus(n)]
+        patterns += [SignPattern(n, rng.getrandbits(poly.chord_count)) for _ in range(20)]
+        for p in patterns:
+            text = str(p)
+            assert text == "".join("-" if p.is_negative(c) else "+" for c in poly.chords)
+            assert str(SignPattern.from_string(n, text)) == text
+            assert SignPattern.from_string(n, text) == p
 
 
 def test_parse_errors():
@@ -21,6 +33,8 @@ def test_parse_errors():
         SignPattern.from_string(5, "-+++")
     with pytest.raises(ValueError):
         SignPattern.from_string(5, "-+++0")
+    with pytest.raises(ValueError):
+        SignPattern.from_string(5, "01101")
     with pytest.raises(ValueError):
         SignPattern(5, 1 << 5)
 
