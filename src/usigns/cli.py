@@ -131,6 +131,14 @@ def cmd_count(args) -> int:
         raise UsageError(f"n={args.n} exceeds the cap {args.cap} (raise with --cap)")
     realizable = ordering_count(poly)
     mode = "primitive" if args.primitive_only else "extended"
+    if args.primitive_only and args.n >= 10:
+        # coarsening does not preserve primitive-only consistency: no lift
+        m = poly.chord_count
+        print(
+            f"warning: --primitive-only scans all 2^{m} = {1 << m} sign patterns "
+            f"of the {args.n}-gon by brute force; this can take hours",
+            file=sys.stderr,
+        )
 
     progress = None
     if args.n >= 9:

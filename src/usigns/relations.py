@@ -92,19 +92,27 @@ def extended_relations(poly: Polygon) -> tuple[URelation, ...]:
 
 
 @lru_cache(maxsize=None)
+def _relation_terms(
+    n: int, primitive_only: bool
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per distinct relation, its two terms as canonical chord indices."""
+    poly = Polygon(n)
+    index = poly.chord_index
+    rels = primitive_relations(poly) if primitive_only else extended_relations(poly)
+    terms: dict[frozenset, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for r in rels:
+        pair = (tuple(index[c] for c in r.t1), tuple(index[c] for c in r.t2))
+        terms.setdefault(frozenset(pair), pair)
+    return tuple(terms.values())
+
+
+@lru_cache(maxsize=None)
 def _relation_masks(n: int, primitive_only: bool) -> tuple[tuple[int, int], ...]:
     """Per-relation (mask1, mask2) bit masks over canonical chord indices."""
-    poly = Polygon(n)
-    rels = primitive_relations(poly) if primitive_only else extended_relations(poly)
-    seen = set()
-    masks = []
-    for r in rels:
-        pair = (poly.mask(r.t1), poly.mask(r.t2))
-        key = frozenset(pair)
-        if key not in seen:
-            seen.add(key)
-            masks.append(pair)
-    return tuple(masks)
+    return tuple(
+        (sum(1 << i for i in t1), sum(1 << i for i in t2))
+        for t1, t2 in _relation_terms(n, primitive_only)
+    )
 
 
 def contradicts(pattern: SignPattern, relation: URelation) -> bool:

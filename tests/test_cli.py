@@ -63,6 +63,28 @@ def test_count_cap(capsys):
     assert code == 3
 
 
+def test_count_primitive_only_warns_before_brute_force(capsys, monkeypatch):
+    # the scan itself is replaced, so nothing is enumerated here
+    calls = []
+
+    def fake_count(poly, primitive_only=False, **kwargs):
+        calls.append((poly.n, primitive_only))
+        return 0
+
+    monkeypatch.setattr("usigns.cli.count_consistent", fake_count)
+    code, _, err = run(capsys, "count", "10", "--cap", "10", "--primitive-only")
+    assert code == 0 and calls == [(10, True)]
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert f"2^35 = {2**35} sign patterns" in warnings[0]
+    code, _, err = run(capsys, "count", "11", "--cap", "11", "--primitive-only", "--json")
+    assert code == 0 and f"2^44 = {2**44}" in err
+    for argv in (("count", "10", "--cap", "10"), ("count", "9", "--primitive-only")):
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and "warning" not in err
+    assert len(calls) == 4
+
+
 def test_count_has_no_threads_flag(capsys):
     # count runs no thread pool; an unknown flag is a usage error
     with pytest.raises(SystemExit) as exc:

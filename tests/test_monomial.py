@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from usigns import (
     ChartMismatchError,
@@ -18,10 +20,14 @@ from usigns import (
     invert,
     map_for_ordering,
     map_for_transposition,
+    points_from_u,
     realize,
     relations_vanish,
+    sign_of_ordering,
+    transport,
     u_values,
 )
+from usigns.points import standard_gauge
 
 from conftest import label_chord
 
@@ -251,3 +257,112 @@ def test_render_golden():
             "u[3,5] -> -u[1,3]^-1*u[1,4]^-1*u[2,5]",
         ]
     )
+
+
+def reference_fold(poly, source, ks):
+    """Chart change along the adjacent position swaps ``ks``, composed one
+    public elementary map at a time."""
+    n = poly.n
+    total = identity_map(poly, source)
+    chart = tuple(source)
+    for k in ks:
+        swapped = list(chart)
+        swapped[k - 1], swapped[k % n] = swapped[k % n], swapped[k - 1]
+        step = MonomialMap(n, chart, tuple(swapped), elementary_map(poly, k).images)
+        total = compose(step, total)
+        chart = tuple(swapped)
+    return total
+
+
+def reference_chart_change(poly, source, target):
+    """Fold along a pass-by-pass bubble sort (a different route from the
+    library's, which must not matter)."""
+    position = {label: p for p, label in enumerate(target, 1)}
+    w = [position[v] for v in source]
+    ks = []
+    for end in range(len(w) - 1, 0, -1):
+        for k in range(1, end + 1):
+            if w[k - 1] > w[k]:
+                w[k - 1], w[k] = w[k], w[k - 1]
+                ks.append(k)
+    m = reference_fold(poly, source, ks)
+    assert m.target == tuple(target)
+    return m
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
+def test_fold_matches_public_compose_reference(n):
+    poly = Polygon(n)
+    rng = random.Random(2718 + n)
+    for _ in range(4):
+        w1 = tuple(rng.sample(range(1, n + 1), n))
+        w2 = tuple(rng.sample(range(1, n + 1), n))
+        m = map_for_ordering(poly, w1)
+        assert m.render() == reference_chart_change(poly, w1, poly.identity_word).render()
+        mi = invert(m)
+        ref = reference_chart_change(poly, poly.identity_word, w1)
+        assert (mi.source, mi.target, mi.render()) == (ref.source, ref.target, ref.render())
+        between = compose(mi, map_for_ordering(poly, w2))  # chart of w2 to chart of w1
+        ref = reference_chart_change(poly, w1, w2)
+        bi = invert(between)
+        assert (bi.source, bi.target, bi.render()) == (ref.source, ref.target, ref.render())
+        p, q = rng.sample(range(1, n + 1), 2)
+        word = list(poly.identity_word)
+        word[p - 1], word[q - 1] = word[q - 1], word[p - 1]
+        d = (q - p) % n
+        up = [(p - 1 + t) % n + 1 for t in range(d)]  # arc from p up to q, wrapping
+        ref = reference_fold(poly, tuple(word), up + up[-2::-1])
+        assert ref.target == poly.identity_word
+        assert map_for_transposition(poly, p, q).render() == ref.render()
+
+
+def test_evaluate_negative_rationals_and_ints():
+    poly = Polygon(5)
+    ident = poly.identity_word
+    images = (
+        u(-1, ((1, 3), -3), ((2, 4), 2)),
+        u(1, ((1, 4), -1), ((2, 5), -2), ((3, 5), 1)),
+        u(-1, ((2, 4), -1)),
+        u(1),
+        u(-1, ((1, 3), 5), ((1, 4), -4), ((3, 5), -1)),
+    )
+    m = MonomialMap(5, ident, ident, images)
+    rng = random.Random(161)
+    pool = [Fraction(-2, 3), Fraction(3, -7), -5, -1, 1, 4, Fraction(7, 2), Fraction(-9, 4)]
+    for _ in range(40):
+        vals = {c: rng.choice(pool) for c in poly.chords}
+        out = evaluate(m, vals)
+        for c, mono in zip(poly.chords, images):
+            ref = Fraction(mono.sign)
+            for d, e in mono.powers:
+                ref *= Fraction(vals[d]) ** e
+            assert type(out[c]) is Fraction and out[c] == ref
+    vals = {c: -2 for c in poly.chords}
+    assert evaluate(m, vals)[(1, 3)] == Fraction(1, 2)  # -((-2)^-3) * (-2)^2
+    assert evaluate(m, vals)[(2, 5)] == 1
+
+
+_chart_settings = settings(max_examples=25, derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def charted_words(draw):
+    n = draw(st.integers(min_value=5, max_value=12))
+    word = tuple(draw(st.permutations(range(1, n + 1))))
+    placement = tuple(draw(st.permutations(range(1, n + 1))))
+    return n, word, placement
+
+
+@_chart_settings
+@given(charted_words())
+def test_chart_change_properties(case):
+    n, word, placement = case
+    poly = Polygon(n)
+    m = map_for_ordering(poly, word)
+    assert compose(m, invert(m)).is_identity()
+    assert transport(sign_of_ordering(poly, word), m).is_all_plus()
+    base = realize(poly, placement)
+    moved = base.permuted(word)
+    values = evaluate(m, u_values(base))
+    assert values == u_values(moved)
+    assert points_from_u(poly, values) == standard_gauge(moved, 1, 2, n)

@@ -13,6 +13,7 @@ from usigns import (
     RelationViolationError,
     all_orderings,
     cross_ratio,
+    extended_relations,
     points_from_u,
     realize,
     relations_vanish,
@@ -158,6 +159,65 @@ def test_relations_vanish_perturbation():
     vals[(1, 3)] = Fraction(0)
     with pytest.raises(ValueError):
         relations_vanish(poly, vals)
+
+
+def reference_vanish(poly, vals):
+    """Every extended relation as a product of Fractions."""
+    for rel in extended_relations(poly):
+        prod1 = prod2 = Fraction(1)
+        for c in rel.t1:
+            prod1 *= Fraction(vals[c])
+        for c in rel.t2:
+            prod2 *= Fraction(vals[c])
+        if prod1 + prod2 != 1:
+            return False
+    return True
+
+
+def random_nonzero(rng):
+    """A nonzero rational or plain int, either sign."""
+    v = 0
+    while v == 0:
+        v = rng.randint(-30, 30)
+    return v if rng.random() < 0.4 else Fraction(v, rng.randint(1, 9))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_relations_vanish_matches_fraction_reference(n):
+    poly = Polygon(n)
+    rng = random.Random(8080 + n)
+    for trial in range(12):
+        vals = u_values(random_config(rng, n, with_infinity=trial % 3 == 0))
+        # integral values as plain ints, the rest as Fractions
+        vals = {c: int(v) if v.denominator == 1 else v for c, v in vals.items()}
+        assert relations_vanish(poly, vals) and reference_vanish(poly, vals)
+        perturbed = dict(vals)
+        c = rng.choice(poly.chords)
+        perturbed[c] = random_nonzero(rng)
+        assert relations_vanish(poly, perturbed) == reference_vanish(poly, perturbed)
+        noise = {c: random_nonzero(rng) for c in poly.chords}
+        assert relations_vanish(poly, noise) == reference_vanish(poly, noise)
+    # the square's one relation, held and broken by negative values
+    square = Polygon(4)
+    assert relations_vanish(square, {(1, 3): -3, (2, 4): 4})
+    assert relations_vanish(square, {(1, 3): Fraction(-5, 2), (2, 4): Fraction(7, 2)})
+    assert not relations_vanish(square, {(1, 3): Fraction(-5, 2), (2, 4): Fraction(-7, 2)})
+
+
+def test_relations_vanish_rejects_single_perturbation_n12():
+    poly = Polygon(12)
+    rng = random.Random(1212)
+    vals = u_values(realize(poly, tuple(rng.sample(range(1, 13), 12))))
+    assert relations_vanish(poly, vals)
+    for c in rng.sample(poly.chords, 3):
+        bad = dict(vals)
+        bad[c] = -bad[c]
+        assert not relations_vanish(poly, bad)
+        bad[c] = vals[c] * Fraction(10**6 + 1, 10**6)
+        assert not relations_vanish(poly, bad)
+        bad[c] = 0
+        with pytest.raises(ValueError):
+            relations_vanish(poly, bad)
 
 
 def test_points_from_u_square_example():

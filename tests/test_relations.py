@@ -19,7 +19,7 @@ from usigns import (
     primitive_relation,
     primitive_relations,
 )
-from usigns.relations import _lift_plan, _relation_masks, _scanned
+from usigns.relations import _lift_plan, _relation_masks, _relation_terms, _scanned
 
 from conftest import consistent_bits, reflect_pattern, rotate_pattern
 
@@ -301,3 +301,21 @@ def test_relation_mask_dedup():
     # n=4 has a single distinct relation even though both chords generate one
     assert len(_relation_masks(4, True)) == 1
     assert len(_relation_masks(4, False)) == 1
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_relation_terms_table(n):
+    # one index table per n serves both the masks and relations_vanish
+    poly = Polygon(n)
+    index = poly.chord_index
+    terms = _relation_terms(n, False)
+    assert len(terms) == math.comb(n, 4)
+    assert terms == tuple(
+        (tuple(index[c] for c in r.t1), tuple(index[c] for c in r.t2))
+        for r in extended_relations(poly)
+    )
+    for primitive_only in (False, True):
+        assert _relation_masks(n, primitive_only) == tuple(
+            (poly.mask(poly.chords[i] for i in t1), poly.mask(poly.chords[i] for i in t2))
+            for t1, t2 in _relation_terms(n, primitive_only)
+        )
