@@ -26,6 +26,7 @@ from .points import realize, signs_from_points
 from .signs import sign_of_ordering
 from .solver import (
     InconsistentPatternError,
+    IterationLimitError,
     SolverTrace,
     ordering_from_sign_matrix,
     reconstruct_sign_matrix,
@@ -140,13 +141,6 @@ def cmd_count(args) -> int:
             file=sys.stderr,
         )
 
-    progress = None
-    if args.n >= 9:
-        unit = "chunks" if args.primitive_only else "levels"
-
-        def progress(done: int, total: int) -> None:
-            print(f"\r{unit} {done}/{total}", end="", file=sys.stderr, flush=True)
-
     if args.out:
         count = 0
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -156,14 +150,21 @@ def cmd_count(args) -> int:
                 fh.write(f"{pattern}\n")
                 count += 1
     else:
+        progress = None
+        if args.n >= 9:
+            unit = "chunks" if args.primitive_only else "levels"
+
+            def progress(done: int, total: int) -> None:
+                print(f"\r{unit} {done}/{total}", end="", file=sys.stderr, flush=True)
+
         count = count_consistent(
             poly,
             primitive_only=args.primitive_only,
             cap=args.cap,
             progress=progress,
         )
-    if progress is not None:
-        print(file=sys.stderr)
+        if progress is not None:
+            print(file=sys.stderr)
     match = count == realizable
     if args.json:
         print(
@@ -192,6 +193,9 @@ def cmd_solve(args) -> int:
         word, trace = solve(poly, pattern)
     except InconsistentPatternError:
         print("inconsistent", file=sys.stderr)
+        return EXIT_INCONSISTENT
+    except IterationLimitError as exc:
+        print(f"usigns: error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     if args.json:
         doc = _pattern_document(

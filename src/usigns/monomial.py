@@ -50,12 +50,6 @@ class SignedMonomial:
         powers = tuple(sorted((c, e) for c, e in exponents.items() if e != 0))
         return cls(sign, powers)
 
-    def exponents(self) -> dict[Chord, int]:
-        return dict(self.powers)
-
-    def __neg__(self) -> "SignedMonomial":
-        return SignedMonomial(-self.sign, self.powers)
-
     def render(self) -> str:
         if not self.powers:
             return "-1" if self.sign < 0 else "1"

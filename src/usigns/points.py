@@ -5,12 +5,19 @@ pairwise-distinct points in homogeneous rational coordinates, a finite value
 v is (1 : v) and infinity is (0 : 1), and every quantity is computed through
 2x2 determinants so the infinite point needs no special casing. No floating
 point appears anywhere on a sign-bearing path.
+
+A configuration computes its pairwise determinants once, on construction, as
+Python ints: each point is scaled to primitive integer coordinates, a finite
+value p/q to (q, p) and infinity to (0, 1). Plucker coordinates divide a
+determinant by the two scales; a cross-ratio or dihedral coordinate takes
+each of its points once above and once below the fraction bar, so there the
+scales cancel and its sign is read off two integer products.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .ngon import Chord, Polygon
 from .patterns import SignPattern
@@ -23,6 +30,9 @@ class RelationViolationError(ValueError):
 
 class DegenerateConfigError(ValueError):
     """Reconstructed points collide."""
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -48,12 +58,20 @@ class ProjectivePoint:
         object.__setattr__(self, "y", y)
 
     @classmethod
+    def _canonical(cls, x: Fraction, y: Fraction) -> "ProjectivePoint":
+        """Wrap a representative that is already canonical."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "x", x)
+        object.__setattr__(p, "y", y)
+        return p
+
+    @classmethod
     def finite(cls, v) -> "ProjectivePoint":
-        return cls(Fraction(1), Fraction(v))
+        return cls._canonical(_ONE, Fraction(v))
 
     @classmethod
     def infinity(cls) -> "ProjectivePoint":
-        return cls(Fraction(0), Fraction(1))
+        return cls._canonical(_ZERO, _ONE)
 
     def is_infinite(self) -> bool:
         return self.x == 0
@@ -64,23 +82,49 @@ class ProjectivePoint:
         return self.y / self.x
 
 
-def _det(p: ProjectivePoint, q: ProjectivePoint) -> Fraction:
-    """Cross determinant; equals z_q - z_p for finite points (1 : z)."""
-    return p.x * q.y - p.y * q.x
-
-
 @dataclass(frozen=True)
 class PointConfig:
-    """n pairwise-distinct labeled points of P^1(Q)."""
+    """n pairwise-distinct labeled points of P^1(Q).
+
+    ``_dets[a][b]`` is the determinant of the primitive integer coordinates
+    of the points labeled a+1 and b+1. The table is derived from ``points``,
+    so equality, hashing, ``repr`` and pickling leave it out.
+    """
 
     points: tuple[ProjectivePoint, ...]
+    _dets: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        pts = self.points
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                if _det(pts[a], pts[b]) == 0:
-                    raise ValueError(f"points {a + 1} and {b + 1} coincide")
+        # (1 : p/q) scaled by q, and (0 : 1) as it is
+        coords = [(p.y.denominator, p.y.numerator) if p.x else (0, 1) for p in self.points]
+        self._set_dets(
+            tuple(tuple([xa * yb - ya * xb for xb, yb in coords]) for xa, ya in coords)
+        )
+
+    def _set_dets(self, dets: tuple[tuple[int, ...], ...]) -> None:
+        for a, row in enumerate(dets):
+            # a zero besides the diagonal one; a partner b < a would already
+            # have shown in row b
+            if row.count(0) > 1:
+                raise ValueError(f"points {a + 1} and {row.index(0, a + 1) + 1} coincide")
+        object.__setattr__(self, "_dets", dets)
+
+    @classmethod
+    def _from_table(
+        cls, points: tuple[ProjectivePoint, ...], dets: tuple[tuple[int, ...], ...]
+    ) -> "PointConfig":
+        """The configuration of ``points``, whose determinant table is known."""
+        config = object.__new__(cls)
+        object.__setattr__(config, "points", points)
+        config._set_dets(dets)
+        return config
+
+    def __getstate__(self) -> dict:
+        return {"points": self.points}
+
+    def __setstate__(self, state: dict) -> None:
+        object.__setattr__(self, "points", state["points"])
+        self.__post_init__()
 
     @classmethod
     def from_values(cls, values: Sequence) -> "PointConfig":
@@ -102,11 +146,18 @@ class PointConfig:
 
     def plucker(self, a: int, b: int) -> Fraction:
         """Determinant of the columns of labels a, b."""
-        return _det(self.point(a), self.point(b))
+        # a point's table coordinates are its canonical ones times y.denominator
+        scale = self.point(a).y.denominator * self.point(b).y.denominator
+        return Fraction(self._dets[a - 1][b - 1], scale)
 
     def permuted(self, word: Sequence[int]) -> "PointConfig":
         """Config whose k-th point is the point labeled word[k]."""
-        return PointConfig(tuple(self.point(v) for v in word))
+        idx = [v - 1 for v in word]
+        rows = self._dets
+        return PointConfig._from_table(
+            tuple(self.points[a] for a in idx),
+            tuple(tuple([rows[a][b] for b in idx]) for a in idx),
+        )
 
 
 def realize(poly: Polygon, word: Sequence[int]) -> PointConfig:
@@ -118,10 +169,13 @@ def realize(poly: Polygon, word: Sequence[int]) -> PointConfig:
     word = tuple(word)
     if sorted(word) != list(range(1, poly.n + 1)):
         raise ValueError(f"{word!r} is not a permutation of 1..{poly.n}")
-    values: list[Fraction | None] = [None] * poly.n
+    position = [0] * poly.n
     for k, label in enumerate(word, start=1):
-        values[label - 1] = Fraction(k)
-    return PointConfig.from_values(values)
+        position[label - 1] = k
+    return PointConfig._from_table(
+        tuple(ProjectivePoint.finite(k) for k in position),
+        tuple(tuple([kb - ka for kb in position]) for ka in position),
+    )
 
 
 def cross_ratio(config: PointConfig, i: int, j: int, k: int, l: int) -> Fraction:
@@ -130,28 +184,34 @@ def cross_ratio(config: PointConfig, i: int, j: int, k: int, l: int) -> Fraction
     are handled uniformly."""
     if len({i, j, k, l}) != 4:
         raise ValueError(f"indices must be pairwise distinct, got {(i, j, k, l)}")
-    num = config.plucker(i, k) * config.plucker(j, l)
-    den = config.plucker(i, l) * config.plucker(j, k)
-    return num / den
+    d = config._dets
+    i, j, k, l = i - 1, j - 1, k - 1, l - 1
+    return Fraction(d[i][k] * d[j][l], d[i][l] * d[j][k])
+
+
+def _u_terms(config: PointConfig) -> Iterator[tuple[int, int]]:
+    """Integer numerator and denominator of every chord's u-value, in
+    canonical chord order."""
+    n, d = config.n, config._dets
+    for i, j in Polygon(n).chords:
+        a, b, a1, b1 = i - 1, j - 1, i % n, j % n  # labels i, j, i+1, j+1
+        yield d[a][b1] * d[a1][b], d[a][b] * d[a1][b1]
 
 
 def u_values(config: PointConfig) -> dict[Chord, Fraction]:
     """The dihedral coordinate of every chord: u_ij is the cross-ratio of
     (i, i+1 | j+1, j), indices mod n."""
-    poly = Polygon(config.n)
-    return {
-        (i, j): cross_ratio(config, i, poly.wrap(i + 1), poly.wrap(j + 1), j)
-        for i, j in poly.chords
-    }
+    chords = Polygon(config.n).chords
+    return {c: Fraction(num, den) for c, (num, den) in zip(chords, _u_terms(config))}
 
 
 def signs_from_points(config: PointConfig) -> SignPattern:
     """Sign of every dihedral coordinate; depends only on the circular order."""
-    vals = u_values(config)
-    poly = Polygon(config.n)
-    return SignPattern.from_signs(
-        config.n, (1 if vals[c] > 0 else -1 for c in poly.chords)
-    )
+    bits = 0
+    for k, (num, den) in enumerate(_u_terms(config)):
+        if (num < 0) != (den < 0):
+            bits |= 1 << k
+    return SignPattern(config.n, bits)
 
 
 def relations_vanish(poly: Polygon, vals: Mapping[Chord, Fraction]) -> bool:
@@ -203,15 +263,17 @@ def points_from_u(poly: Polygon, vals: Mapping[Chord, Fraction]) -> PointConfig:
 
 def standard_gauge(config: PointConfig, zero: int, one: int, infinity: int) -> PointConfig:
     """Apply the projective map sending three labeled points to 0, 1, infinity."""
-    p0, p1, pinf = config.point(zero), config.point(one), config.point(infinity)
-    scale_num = _det(p0, p1)
-    scale_den = _det(pinf, p1)
-    pts = []
-    for p in config.points:
-        pts.append(
-            ProjectivePoint(_det(pinf, p) * scale_num, _det(p0, p) * scale_den)
+    # integer determinants in place of Plucker coordinates: both coordinates
+    # of an image would be divided by the same four point scales
+    d = config._dets
+    z, o, f = zero - 1, one - 1, infinity - 1
+    scale_num, scale_den = d[z][o], d[f][o]
+    return PointConfig(
+        tuple(
+            ProjectivePoint(d[f][k] * scale_num, d[z][k] * scale_den)
+            for k in range(config.n)
         )
-    return PointConfig(tuple(pts))
+    )
 
 
 def transformed(config: PointConfig, matrix: Sequence[Sequence[Fraction]]) -> PointConfig:

@@ -68,19 +68,39 @@ def _transposition_table(n: int, p: int, q: int) -> tuple[tuple[int, int], ...]:
     return table
 
 
+def _fewest_inversions(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The rotation or reflection of a permutation with the fewest
+    inversions, i.e. the fewest adjacent swaps to sort; the first one on ties.
+
+    Moving the front entry x of a word of length n to its back adds the
+    n - x larger entries before it and drops the x - 1 smaller ones after
+    it, so each rotation's count follows from the previous one's.
+    """
+    n = len(word)
+    count = sum(1 for a in range(n) for b in range(a + 1, n) if word[a] > word[b])
+    best, fewest = word, count
+    for w, count in ((word, count), (word[::-1], n * (n - 1) // 2 - count)):
+        for r in range(n):
+            if count < fewest:
+                best, fewest = w[r:] + w[:r], count
+            count += n + 1 - 2 * w[r]
+    return best
+
+
 def sign_of_ordering(poly: Polygon, word: Sequence[int]) -> SignPattern:
     """The standard-chart sign pattern of the component ordered by ``word``.
 
     This is the unique pattern whose transport through the chart change of
     ``word`` is all-plus. Elementary chart changes are involutive, so the
-    pattern is obtained by pushing all-plus forward through the word's
-    sorting sequence one adjacent swap at a time; the result depends only on
-    the dihedral class of the word.
+    pattern is obtained by pushing all-plus forward through a word's
+    sorting sequence one adjacent swap at a time. The result depends only on
+    the dihedral class of the word, so the member of the class with the
+    fewest swaps is the one sorted.
     """
     word = _check_permutation(word)
     if len(word) != poly.n:
         raise ValueError(f"word has length {len(word)}, polygon has n={poly.n}")
     bits = 0
-    for k in _sort_positions(word):
+    for k in _sort_positions(_fewest_inversions(word)):
         bits = _transport_bits(bits, _elementary_table(poly.n, k))
     return SignPattern(poly.n, bits)

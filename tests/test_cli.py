@@ -5,6 +5,7 @@ import json
 import pytest
 
 from usigns.cli import main
+from usigns.solver import IterationLimitError, SolverTrace
 
 
 def run(capsys, *argv):
@@ -102,6 +103,15 @@ def test_count_out_file(tmp_path, capsys):
     assert set("".join(lines)) <= {"+", "-"}
 
 
+def test_count_out_leaves_stderr_empty(tmp_path, capsys):
+    # progress is reported only by the plain count; streaming prints nothing
+    path = tmp_path / "patterns.txt"
+    code, out, err = run(capsys, "count", "9", "--out", str(path))
+    assert code == 0 and "consistent (extended): 20160" in out
+    assert err == ""
+    assert len(path.read_text().splitlines()) == 20160
+
+
 def test_solve_text(capsys):
     code, out, _ = run(capsys, "solve", "5", "--pattern", "-++++")
     assert code == 0
@@ -119,6 +129,18 @@ def test_solve_inconsistent_exit_2(capsys):
     code, out, err = run(capsys, "solve", "6", "--pattern", "--+-+--++")
     assert code == 2
     assert "inconsistent" in err
+
+
+def test_solve_iteration_limit_exit_2(capsys, monkeypatch):
+    def tripped(poly, pattern):
+        raise IterationLimitError(
+            "no all-plus pattern within 1 iterations", SolverTrace(pattern, ())
+        )
+
+    monkeypatch.setattr("usigns.cli.solve", tripped)
+    code, out, err = run(capsys, "solve", "5", "--pattern", "-----")
+    assert code == 2 and out == ""
+    assert err == "usigns: error: no all-plus pattern within 1 iterations\n"
 
 
 def test_solve_malformed_exit_3(capsys):
@@ -139,6 +161,14 @@ def test_sign_of_text_and_roundtrip(capsys):
     code, out, _ = run(capsys, "solve", "6", "--pattern", doc["signs"], "--json")
     solved = json.loads(out)
     assert solved["ordering"] == doc["ordering"]
+
+
+def test_sign_of_reversed_200(capsys):
+    # the reversed word is a reflection of the identity: nothing to sort
+    ordering = ",".join(str(v) for v in range(200, 0, -1))
+    code, out, err = run(capsys, "sign-of", "200", "--ordering", ordering)
+    assert code == 0 and err == ""
+    assert out == "+" * (200 * 197 // 2) + "\n"
 
 
 def test_sign_of_malformed(capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from usigns import (
     Polygon,
     ProjectivePoint,
     RelationViolationError,
+    SignPattern,
     all_orderings,
     cross_ratio,
     extended_relations,
@@ -38,10 +41,91 @@ def test_projective_point_canonical_form():
 
 
 def test_config_rejects_collisions():
-    with pytest.raises(ValueError):
-        PointConfig.from_values([0, 1, 1, 3])
-    with pytest.raises(ValueError):
-        PointConfig.from_values([0, "inf", "inf", 3])
+    from_values = PointConfig.from_values
+    cases = [
+        (lambda: from_values([0, 1, 1, 3]), "points 2 and 3 coincide"),
+        (lambda: from_values([0, "inf", None, 3]), "points 2 and 3 coincide"),
+        # the lowest label pair is named first
+        (lambda: from_values([5, 1, 2, 1, 5, "inf", "inf"]), "points 1 and 5 coincide"),
+        (lambda: from_values([0, 2, 1, 2, 1]), "points 2 and 4 coincide"),
+        (lambda: from_values(["inf", 0, Fraction(1, 2), "inf"]), "points 1 and 4 coincide"),
+        (
+            lambda: PointConfig((ProjectivePoint(2, 6), ProjectivePoint.finite(3))),
+            "points 1 and 2 coincide",
+        ),
+        (
+            lambda: realize(Polygon(5), (1, 2, 3, 4, 5)).permuted((3, 1, 4, 1)),
+            "points 2 and 4 coincide",
+        ),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
+def reference_plucker(config, a, b):
+    """The determinant of two canonical representatives, in Fractions."""
+    p, q = config.point(a), config.point(b)
+    return p.x * q.y - p.y * q.x
+
+
+def reference_cross_ratio(config, i, j, k, l):
+    num = reference_plucker(config, i, k) * reference_plucker(config, j, l)
+    return num / (reference_plucker(config, i, l) * reference_plucker(config, j, k))
+
+
+def reference_u_values(config):
+    poly = Polygon(config.n)
+    return {
+        (i, j): reference_cross_ratio(config, i, poly.wrap(i + 1), poly.wrap(j + 1), j)
+        for i, j in poly.chords
+    }
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_oracle_matches_fraction_reference(n):
+    poly = Polygon(n)
+    rng = random.Random(6060 + n)
+    configs = []
+    for trial in range(6):
+        config = random_config(rng, n, with_infinity=trial % 2 == 0)
+        # the three ways a table is built: from points, reindexed, realized
+        configs += [config, config.permuted(rng.sample(range(1, n + 1), n))]
+    configs.append(realize(poly, rng.sample(range(1, n + 1), n)))
+    for config in configs:
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                value = config.plucker(a, b)
+                assert type(value) is Fraction
+                assert value == reference_plucker(config, a, b)
+        for _ in range(30):
+            quad = rng.sample(range(1, n + 1), 4)
+            value = cross_ratio(config, *quad)
+            assert type(value) is Fraction
+            assert value == reference_cross_ratio(config, *quad)
+        vals = u_values(config)
+        reference = reference_u_values(config)
+        assert list(vals) == list(reference) == list(poly.chords)
+        assert vals == reference
+        assert all(type(v) is Fraction for v in vals.values())
+        assert signs_from_points(config) == SignPattern.from_signs(
+            n, (1 if reference[c] > 0 else -1 for c in poly.chords)
+        )
+
+
+def test_config_table_is_not_state():
+    config = random_config(random.Random(77), 7, with_infinity=True)
+    stale = PointConfig(config.points)
+    object.__setattr__(stale, "_dets", ())
+    assert stale == config and hash(stale) == hash(config)
+    assert repr(stale) == repr(config) == f"PointConfig(points={config.points!r})"
+    blob = pickle.dumps(stale)
+    assert blob == pickle.dumps(config)
+    for twin in (pickle.loads(blob), copy.deepcopy(stale), copy.copy(stale)):
+        assert twin == config
+        assert u_values(twin) == u_values(config)
+        assert signs_from_points(twin) == signs_from_points(config)
 
 
 def test_realize_places_labels():

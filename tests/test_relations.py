@@ -19,7 +19,8 @@ from usigns import (
     primitive_relation,
     primitive_relations,
 )
-from usigns.relations import _lift_plan, _relation_masks, _relation_terms, _scanned
+from usigns._enumeration import _lift_plan, _scanned
+from usigns.relations import _relation_masks, _relation_terms
 
 from conftest import consistent_bits, reflect_pattern, rotate_pattern
 

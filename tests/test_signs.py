@@ -23,7 +23,12 @@ from usigns import (
     transport,
 )
 from usigns.monomial import _sort_positions
-from usigns.signs import _elementary_table, _transport_bits, _transposition_table
+from usigns.signs import (
+    _elementary_table,
+    _fewest_inversions,
+    _transport_bits,
+    _transposition_table,
+)
 
 from conftest import PENTAGON_TABLE, consistent_bits, rotate_pattern
 
@@ -76,6 +81,30 @@ def test_sign_of_ordering_class_invariant():
         base = sign_of_ordering(poly, word)
         for other in dihedral_class(word):
             assert sign_of_ordering(poly, other) == base
+
+
+def test_fewest_inversions_representative():
+    def inversions(w):
+        return sum(1 for a, b in itertools.combinations(w, 2) if a > b)
+
+    rng = random.Random(31)
+    for n in range(3, 10):
+        for _ in range(40):
+            word = tuple(rng.sample(range(1, n + 1), n))
+            best = _fewest_inversions(word)
+            members = dihedral_class(word)
+            assert best in members
+            assert inversions(best) == min(inversions(w) for w in members)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_sign_of_ordering_oracle_agreement_any_representative(n):
+    # words drawn from every rotation and reflection, not only canonical ones
+    poly = Polygon(n)
+    rng = random.Random(4400 + n)
+    for _ in range(25):
+        word = tuple(rng.sample(range(1, n + 1), n))
+        assert sign_of_ordering(poly, word) == signs_from_points(realize(poly, word))
 
 
 def test_sign_of_ordering_matches_invert_route():
