@@ -4,6 +4,8 @@ Chord combinatorics of the n-gon, u-relations and sign-pattern consistency,
 signed Laurent-monomial chart changes, the sign-pattern-to-ordering solver,
 and an exact-rational point-configuration oracle that cross-checks it all.
 """
+from types import ModuleType as _ModuleType
+
 from .ngon import (
     Chord,
     Polygon,
@@ -54,7 +56,6 @@ from .solver import (
     solve,
 )
 from .points import (
-    DegenerateConfigError,
     PointConfig,
     ProjectivePoint,
     RelationViolationError,
@@ -70,4 +71,8 @@ from .points import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

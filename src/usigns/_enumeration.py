@@ -28,12 +28,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .ngon import Polygon
-from .relations import _relation_masks, extended_relation
+from .relations import _relation_masks
 
 _CHUNK_BITS = 18
 
-# chord bits of the 12-gon (54) are the most a uint64 pattern holds
-_LIFT_MAX_N = 12
 # most uint64 words one lift block gathers
 _BLOCK_ENTRIES = 1 << 20
 
@@ -104,7 +102,7 @@ def _lift_plan(n: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray, np.nd
       the n-gon chord with the same labels, vertex n-1 standing for the pair.
     - ``fibre``: the 2^(n-2) XOR masks of the coset over one small pattern.
     - ``m1``, ``m2``: the term masks of the C(n-1, 3) extended relations with
-      a cut at n (distinct relations, so no deduplication is needed).
+      a cut at n, read from the shared table in its cut order.
     - ``ok[r, 2a + c]``: a bitset over the fibre (uint64 words), bit f set when
       the lift by ``fibre[f]`` satisfies relation r, given a scattered pattern
       whose terms under r have parities a and c.
@@ -121,15 +119,12 @@ def _lift_plan(n: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray, np.nd
     fibre = np.zeros(1, dtype=np.uint64)
     for f in flips:
         fibre = np.concatenate((fibre, fibre ^ np.uint64(f)))
-    rels = [
-        extended_relation(poly, cuts + (n,))
-        for cuts in itertools.combinations(range(1, n), 3)
-    ]
-    m1 = np.array([poly.mask(r.t1) for r in rels], dtype=np.uint64)
-    m2 = np.array([poly.mask(r.t2) for r in rels], dtype=np.uint64)
+    cuts = itertools.combinations(range(1, n + 1), 4)
+    rows = [row for row, c in zip(_relation_masks(n, False), cuts) if c[-1] == n]
+    m1, m2 = np.array(rows, dtype=np.uint64).T.copy()
     odd1 = np.bitwise_count(fibre & m1[:, None]) & 1
     odd2 = np.bitwise_count(fibre & m2[:, None]) & 1
-    ok = np.zeros((len(rels), 4, max(64, len(fibre))), dtype=bool)
+    ok = np.zeros((len(rows), 4, max(64, len(fibre))), dtype=bool)
     for a, c in itertools.product((0, 1), repeat=2):
         ok[:, 2 * a + c, : len(fibre)] = ((a ^ odd1) & (c ^ odd2)) == 0
     ok = np.packbits(ok, axis=2, bitorder="little").view("<u8")
@@ -169,8 +164,6 @@ def _expand(n: int, base: np.ndarray, allowed: np.ndarray) -> np.ndarray:
 def _lifted(n: int, progress=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``_lift`` blocks of the consistent extended n-gon patterns, lifted level
     by level from the single (empty) pattern of the triangle."""
-    if n > _LIFT_MAX_N:
-        raise ValueError(f"n={n} has more chords than a uint64 holds (n <= {_LIFT_MAX_N})")
     level = np.zeros(1, dtype=np.uint64)
     for m in range(4, n):
         level = np.concatenate([_expand(m, *block) for block in _lift(m, level)])

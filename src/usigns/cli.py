@@ -15,8 +15,9 @@ import sys
 from .ngon import Polygon, all_orderings, canonicalize, ordering_count
 from .patterns import SignPattern
 from .relations import (
-    DEFAULT_ENUMERATION_CAP,
     URelation,
+    _LIFT_MAX_N,
+    _check_enumerable,
     consistent_patterns,
     count_consistent,
     extended_relations,
@@ -112,8 +113,8 @@ def _parse_word(poly: Polygon, text: str | None) -> tuple[int, ...]:
 
 
 def cmd_relations(args) -> int:
-    if not 4 <= args.n <= 12:
-        raise UsageError(f"n must be in 4..12, got {args.n}")
+    if not 4 <= args.n <= _LIFT_MAX_N:
+        raise UsageError(f"n must be in 4..{_LIFT_MAX_N}, got {args.n}")
     poly = Polygon(args.n)
     rels = primitive_relations(poly) if args.primitive else extended_relations(poly)
     if args.json:
@@ -128,8 +129,7 @@ def cmd_relations(args) -> int:
 
 def cmd_count(args) -> int:
     poly = Polygon(args.n)
-    if args.n > args.cap:
-        raise UsageError(f"n={args.n} exceeds the cap {args.cap} (raise with --cap)")
+    _check_enumerable(args.n)  # before the warning and the --out file
     realizable = ordering_count(poly)
     mode = "primitive" if args.primitive_only else "extended"
     if args.primitive_only and args.n >= 10:
@@ -144,9 +144,7 @@ def cmd_count(args) -> int:
     if args.out:
         count = 0
         with open(args.out, "w", encoding="utf-8") as fh:
-            for pattern in consistent_patterns(
-                poly, primitive_only=args.primitive_only, cap=args.cap
-            ):
+            for pattern in consistent_patterns(poly, primitive_only=args.primitive_only):
                 fh.write(f"{pattern}\n")
                 count += 1
     else:
@@ -158,10 +156,7 @@ def cmd_count(args) -> int:
                 print(f"\r{unit} {done}/{total}", end="", file=sys.stderr, flush=True)
 
         count = count_consistent(
-            poly,
-            primitive_only=args.primitive_only,
-            cap=args.cap,
-            progress=progress,
+            poly, primitive_only=args.primitive_only, progress=progress
         )
         if progress is not None:
             print(file=sys.stderr)
@@ -224,11 +219,8 @@ def cmd_sign_of(args) -> int:
 def _verify_suites(n: int, seed: int):
     """Yield (suite name, passed) pairs for cmd_verify."""
     poly = Polygon(n)
-    cap = max(n, DEFAULT_ENUMERATION_CAP)
 
-    consistent_bits = {
-        p.bits for p in consistent_patterns(poly, cap=cap)
-    }
+    consistent_bits = {p.bits for p in consistent_patterns(poly)}
     realizable = ordering_count(poly)
     yield "count", len(consistent_bits) == realizable
 
@@ -345,7 +337,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("count", help="count consistent sign patterns")
     p.add_argument("n", type=int)
     p.add_argument("--primitive-only", action="store_true")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--out", help="also stream the consistent patterns to this file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_count)

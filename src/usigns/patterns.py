@@ -74,9 +74,6 @@ class SignPattern:
         poly = Polygon(self.n)
         return tuple(c for k, c in enumerate(poly.chords) if self.bits >> k & 1)
 
-    def negative_count(self) -> int:
-        return self.bits.bit_count()
-
     def is_all_plus(self) -> bool:
         return self.bits == 0
 

@@ -21,18 +21,14 @@ from typing import Iterator, Mapping, Sequence
 
 from .ngon import Chord, Polygon
 from .patterns import SignPattern
-from .relations import _relation_terms
 
 
 class RelationViolationError(ValueError):
     """Input u-values do not satisfy the u-relations exactly."""
 
 
-class DegenerateConfigError(ValueError):
-    """Reconstructed points collide."""
-
-
 _ZERO, _ONE = Fraction(0), Fraction(1)
+_VIOLATION = "u-values do not satisfy the u-relations"
 
 
 @dataclass(frozen=True)
@@ -215,50 +211,43 @@ def signs_from_points(config: PointConfig) -> SignPattern:
 
 
 def relations_vanish(poly: Polygon, vals: Mapping[Chord, Fraction]) -> bool:
-    """Whether every extended u-relation holds exactly on the given values.
-
-    Each relation n1/d1 + n2/d2 = 1 is checked as n1*d2 + n2*d1 == d1*d2 on
-    the integer numerators and (positive) denominators of its two products.
-    """
-    parts = []
-    for c in poly.chords:
-        v = Fraction(vals[c])
-        if v == 0:
-            raise ValueError(f"u-value of chord {c} is zero")
-        parts.append((v.numerator, v.denominator))
-    for t1, t2 in _relation_terms(poly.n, False):
-        n1 = d1 = n2 = d2 = 1
-        for i in t1:
-            p, q = parts[i]
-            n1 *= p
-            d1 *= q
-        for i in t2:
-            p, q = parts[i]
-            n2 *= p
-            d2 *= q
-        if n1 * d2 + n2 * d1 != d1 * d2:
-            return False
+    """Whether every extended u-relation holds exactly on the given values,
+    that is, whether ``points_from_u`` accepts them."""
+    try:
+        points_from_u(poly, vals)
+    except RelationViolationError:
+        return False
     return True
 
 
 def points_from_u(poly: Polygon, vals: Mapping[Chord, Fraction]) -> PointConfig:
     """Invert the dihedral embedding under the gauge z1=0, z2=1, zn=infinity.
 
-    Uses u_in = z_i / z_{i+1} to walk out z_3, ..., z_{n-1}. Raises
-    RelationViolationError unless the values satisfy the u-relations exactly
-    (which also guarantees the points are distinct).
+    Uses u_in = z_i / z_{i+1} to walk out z_3, ..., z_{n-1}. Where no u is
+    zero, the u-relations cut out exactly the image of the configurations of
+    n distinct points (Brown 2009, section 2), so the values satisfy them
+    exactly when the walked points are distinct and have the given u-values.
+    Raises RelationViolationError otherwise, and ValueError on a zero value.
     """
-    if not relations_vanish(poly, vals):
-        raise RelationViolationError("u-values do not satisfy the u-relations")
+    given = {}
+    for c in poly.chords:
+        v = given[c] = Fraction(vals[c])
+        if v == 0:
+            raise ValueError(f"u-value of chord {c} is zero")
     n = poly.n
     values: list = [Fraction(0), Fraction(1)]
     for i in range(2, n - 1):
-        values.append(values[-1] / Fraction(vals[(i, n)]))
+        values.append(values[-1] / given[(i, n)])
     values.append("inf")
     try:
-        return PointConfig.from_values(values)
-    except ValueError as exc:  # unreachable when the relations hold
-        raise DegenerateConfigError(str(exc)) from exc
+        config = PointConfig.from_values(values)
+    except ValueError as exc:  # two walked points coincide
+        raise RelationViolationError(_VIOLATION) from exc
+    # num/den == p/q on integers, as in u_values but without normalising
+    terms = zip(_u_terms(config), given.values())
+    if any(num * v.denominator != den * v.numerator for (num, den), v in terms):
+        raise RelationViolationError(_VIOLATION)
+    return config
 
 
 def standard_gauge(config: PointConfig, zero: int, one: int, infinity: int) -> PointConfig:

@@ -19,7 +19,8 @@ from typing import Iterator, Sequence
 from .ngon import Chord, Polygon, crossing_chords, cyclic_intervals
 from .patterns import SignPattern
 
-DEFAULT_ENUMERATION_CAP = 9
+# chord bits of the 12-gon (54) are the most a uint64 pattern holds
+_LIFT_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -68,27 +69,20 @@ def extended_relations(poly: Polygon) -> tuple[URelation, ...]:
 
 
 @lru_cache(maxsize=None)
-def _relation_terms(
-    n: int, primitive_only: bool
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Per distinct relation, its two terms as canonical chord indices."""
-    poly = Polygon(n)
-    index = poly.chord_index
-    rels = primitive_relations(poly) if primitive_only else extended_relations(poly)
-    terms: dict[frozenset, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for r in rels:
-        pair = (tuple(index[c] for c in r.t1), tuple(index[c] for c in r.t2))
-        terms.setdefault(frozenset(pair), pair)
-    return tuple(terms.values())
-
-
-@lru_cache(maxsize=None)
 def _relation_masks(n: int, primitive_only: bool) -> tuple[tuple[int, int], ...]:
-    """Per-relation (mask1, mask2) bit masks over canonical chord indices."""
-    return tuple(
-        (sum(1 << i for i in t1), sum(1 << i for i in t2))
-        for t1, t2 in _relation_terms(n, primitive_only)
-    )
+    """Per distinct relation, its (mask1, mask2) bit masks over canonical
+    chord indices, in the order of the relation list.
+
+    The extended list has no duplicates, so its row k belongs to the k-th
+    cut choice; the square's two primitive relations coincide.
+    """
+    poly = Polygon(n)
+    rels = primitive_relations(poly) if primitive_only else extended_relations(poly)
+    masks: dict[frozenset, tuple[int, int]] = {}
+    for r in rels:
+        pair = (poly.mask(r.t1), poly.mask(r.t2))
+        masks.setdefault(frozenset(pair), pair)
+    return tuple(masks.values())
 
 
 def contradicts(pattern: SignPattern, relation: URelation) -> bool:
@@ -119,18 +113,16 @@ def is_consistent(poly: Polygon, pattern: SignPattern, primitive_only: bool = Fa
     return True
 
 
-def _check_cap(poly: Polygon, cap: int) -> None:
-    if poly.n > cap:
-        raise ValueError(
-            f"n={poly.n} exceeds the enumeration cap {cap}; raise the cap explicitly"
-        )
+def _check_enumerable(n: int) -> None:
+    """The enumeration packs each pattern into one uint64."""
+    if n > _LIFT_MAX_N:
+        raise ValueError(f"n={n} has more chords than a uint64 holds (n <= {_LIFT_MAX_N})")
 
 
 def count_consistent(
     poly: Polygon,
     primitive_only: bool = False,
     *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
     progress=None,
 ) -> int:
     """Count sign patterns consistent with the chosen relation set.
@@ -140,20 +132,15 @@ def count_consistent(
     2^(n(n-3)/2) patterns in chunks; ``progress(chunks_done, chunks_total)``
     is called after each chunk.
     """
-    _check_cap(poly, cap)
+    _check_enumerable(poly.n)
     from . import _enumeration
 
     return _enumeration.count(poly.n, primitive_only, progress)
 
 
-def consistent_patterns(
-    poly: Polygon,
-    primitive_only: bool = False,
-    *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Iterator[SignPattern]:
+def consistent_patterns(poly: Polygon, primitive_only: bool = False) -> Iterator[SignPattern]:
     """Stream the consistent patterns in increasing bitmask order."""
-    _check_cap(poly, cap)
+    _check_enumerable(poly.n)
     from . import _enumeration
 
     for b in _enumeration.consistent_bits(poly.n, primitive_only):

@@ -334,7 +334,7 @@ def test_c12_stretch_nine_gon_count():
 
 def test_c13_ten_gon_count():
     t0 = time.time()
-    count = count_consistent(Polygon(10), cap=10)
+    count = count_consistent(Polygon(10))
     assert count == 181440 == ordering_count(Polygon(10))
     report("13 n=10", f"181440 = 9!/2 in {time.time()-t0:.1f}s")
 
@@ -342,6 +342,6 @@ def test_c13_ten_gon_count():
 @pytest.mark.stretch
 def test_c14_stretch_eleven_gon_count():
     t0 = time.time()
-    count = count_consistent(Polygon(11), cap=11)
+    count = count_consistent(Polygon(11))
     assert count == 1814400 == ordering_count(Polygon(11))
     report("14 stretch n=11", f"1814400 = 10!/2 in {time.time()-t0:.1f}s")

@@ -60,8 +60,16 @@ def test_count_text_and_json(capsys):
 
 
 def test_count_cap(capsys):
-    code, _, err = run(capsys, "count", "10")
-    assert code == 3
+    code, out, _ = run(capsys, "count", "10")
+    assert code == 0 and "consistent (extended): 181440" in out
+    for argv in (("count", "13"), ("count", "13", "--primitive-only")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("usigns: error:")
+    # the bound is fixed: the old override flag is unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "10", "--cap", "10"])
+    assert exc.value.code == 3
 
 
 def test_count_primitive_only_warns_before_brute_force(capsys, monkeypatch):
@@ -73,14 +81,14 @@ def test_count_primitive_only_warns_before_brute_force(capsys, monkeypatch):
         return 0
 
     monkeypatch.setattr("usigns.cli.count_consistent", fake_count)
-    code, _, err = run(capsys, "count", "10", "--cap", "10", "--primitive-only")
+    code, _, err = run(capsys, "count", "10", "--primitive-only")
     assert code == 0 and calls == [(10, True)]
     warnings = [line for line in err.splitlines() if line.startswith("warning:")]
     assert len(warnings) == 1
     assert f"2^35 = {2**35} sign patterns" in warnings[0]
-    code, _, err = run(capsys, "count", "11", "--cap", "11", "--primitive-only", "--json")
+    code, _, err = run(capsys, "count", "11", "--primitive-only", "--json")
     assert code == 0 and f"2^44 = {2**44}" in err
-    for argv in (("count", "10", "--cap", "10"), ("count", "9", "--primitive-only")):
+    for argv in (("count", "10"), ("count", "9", "--primitive-only")):
         code, _, err = run(capsys, *argv)
         assert code == 0 and "warning" not in err
     assert len(calls) == 4

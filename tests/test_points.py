@@ -281,6 +281,16 @@ def test_relations_vanish_matches_fraction_reference(n):
         assert relations_vanish(poly, perturbed) == reference_vanish(poly, perturbed)
         noise = {c: random_nonzero(rng) for c in poly.chords}
         assert relations_vanish(poly, noise) == reference_vanish(poly, noise)
+        # walks that collide: u_in = 1 gives z_{i+1} = z_i, and
+        # u_in * u_{i+1,n} = 1 gives z_{i+2} = z_i
+        i = rng.randrange(2, n - 2)
+        v = random_nonzero(rng)
+        collisions = ({**vals, (i, n): 1}, {**noise, (i, n): v, (i + 1, n): 1 / Fraction(v)})
+        for colliding in collisions:
+            assert not relations_vanish(poly, colliding)
+            assert not reference_vanish(poly, colliding)
+            with pytest.raises(RelationViolationError):
+                points_from_u(poly, colliding)
     # the square's one relation, held and broken by negative values
     square = Polygon(4)
     assert relations_vanish(square, {(1, 3): -3, (2, 4): 4})

@@ -20,7 +20,7 @@ from usigns import (
     primitive_relations,
 )
 from usigns._enumeration import _lift_plan, _scanned
-from usigns.relations import _relation_masks, _relation_terms
+from usigns.relations import _relation_masks
 
 from conftest import consistent_bits, reflect_pattern, rotate_pattern
 
@@ -162,10 +162,13 @@ def test_consistent_counts(n, primitive, extended):
 
 
 def test_count_cap():
-    with pytest.raises(ValueError):
-        count_consistent(Polygon(10))
-    with pytest.raises(ValueError):
-        list(consistent_patterns(Polygon(10)))
+    # one bound for both modes: the 13-gon's patterns do not fit a uint64
+    assert count_consistent(Polygon(10)) == 181440
+    for primitive_only in (False, True):
+        with pytest.raises(ValueError, match="uint64"):
+            count_consistent(Polygon(13), primitive_only)
+        with pytest.raises(ValueError, match="uint64"):
+            list(consistent_patterns(Polygon(13), primitive_only))
 
 
 @pytest.mark.parametrize(
@@ -200,9 +203,9 @@ def test_lifted_patterns_coarsen_to_consistent(n):
 
 def test_lift_rejects_n_beyond_uint64():
     with pytest.raises(ValueError):
-        count_consistent(Polygon(13), cap=13)
+        count_consistent(Polygon(13))
     with pytest.raises(ValueError):
-        list(consistent_patterns(Polygon(13), cap=13))
+        list(consistent_patterns(Polygon(13)))
 
 
 def test_count_progress_reports_levels():
@@ -306,17 +309,25 @@ def test_relation_mask_dedup():
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_relation_terms_table(n):
-    # one index table per n serves both the masks and relations_vanish
+    # the one per-n relation table: term masks of the public relation objects
     poly = Polygon(n)
-    index = poly.chord_index
-    terms = _relation_terms(n, False)
-    assert len(terms) == math.comb(n, 4)
-    assert terms == tuple(
-        (tuple(index[c] for c in r.t1), tuple(index[c] for c in r.t2))
-        for r in extended_relations(poly)
-    )
-    for primitive_only in (False, True):
-        assert _relation_masks(n, primitive_only) == tuple(
-            (poly.mask(poly.chords[i] for i in t1), poly.mask(poly.chords[i] for i in t2))
-            for t1, t2 in _relation_terms(n, primitive_only)
-        )
+    for primitive_only, rels in (
+        (False, extended_relations(poly)),
+        (True, primitive_relations(poly)),
+    ):
+        expected = tuple((poly.mask(r.t1), poly.mask(r.t2)) for r in rels)
+        # the square's two primitive relations are one relation
+        assert _relation_masks(n, primitive_only) == (expected[:1] if n == 4 else expected)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_lift_plan_reads_cut_at_n_rows(n):
+    # the lift's relations are those with a cut at n, in cut order
+    poly = Polygon(n)
+    rels = [
+        extended_relation(poly, cuts + (n,))
+        for cuts in itertools.combinations(range(1, n), 3)
+    ]
+    _, _, m1, m2, _ = _lift_plan(n)
+    assert m1.tolist() == [poly.mask(r.t1) for r in rels]
+    assert m2.tolist() == [poly.mask(r.t2) for r in rels]

@@ -10,6 +10,7 @@ from usigns import (
     IntransitiveOrderError,
     IterationLimitError,
     Polygon,
+    SignMatrix,
     SignPattern,
     all_orderings,
     canonicalize,
@@ -196,3 +197,7 @@ def test_matrix_route_flags_inconsistent_patterns():
         assert sign_of_ordering(poly, word) != pattern
         flagged += 1
     assert flagged == 200
+    # a 3-cycle z1 < z2 < z3 < z1 fails the score check
+    cycle = SignMatrix(4, (-1, 1, -1, -1, -1, -1))
+    with pytest.raises(IntransitiveOrderError):
+        ordering_from_sign_matrix(Polygon(4), cycle)
