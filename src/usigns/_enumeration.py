@@ -1,196 +1,134 @@
 """The numpy half of ``relations``: counting and streaming consistent patterns.
 
-Extended-consistent patterns are enumerated by lifting through coarsening.
-Merging vertices n-1 and n (``coarsen(poly, range(1, n), pattern)``) sends
-every consistent n-pattern to a consistent (n-1)-pattern, because each small
-relation is the image of an n-gon relation with the same term parities. The
-fibre over a small pattern is a coset of 2^(n-2) lifts, spanned by
-- flipping (i, n-1) and (i, n) together, for each i in 2..n-3;
-- flipping (1, n-1);
-- flipping (n-2, n).
-An extended relation with no cut at n keeps n-1 and n in one interval, so
-every lift already satisfies it; a lift only has to be checked against the
-C(n-1, 3) relations with a cut at n. Lifting level by level from the
-triangle's single (empty) pattern yields the n-gon's consistent patterns
-while touching only the consistent ones of each smaller polygon.
+One frontier enumerator serves both relation sets. It sets the chords one at
+a time in star order: by smaller endpoint, ascending, and within that by
+larger endpoint, descending. Each relation of ``_relation_masks`` is checked
+once, at the step that sets the last of its chords, so a pattern survives to
+the end exactly when it contradicts no relation; the chord order only decides
+how large the frontier of partial patterns grows. In star order the extended
+frontier never exceeds the final count (checked for n <= 11).
 
-Coarsening does not preserve primitive-only consistency, so the primitive
-count scans all 2^(n(n-3)/2) patterns on numpy parity tables over the low
-bits of the pattern index, in chunks. That scan also serves as the test
-reference for the lift.
+A frontier that outgrows ``_BLOCK_ENTRIES`` patterns is cut into blocks that
+are finished depth-first, so memory stays bounded at every n.
 """
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .ngon import Polygon
 from .relations import _relation_masks
 
-_CHUNK_BITS = 18
+# most patterns one block extends at once; also the most uint64 words one
+# extension step gathers per group of relations
+_BLOCK_ENTRIES = 1 << 16
 
-# most uint64 words one lift block gathers
-_BLOCK_ENTRIES = 1 << 20
-
-
-def _consistent_flags_chunk(
-    n: int, primitive_only: bool, low_bits: int, high: int
-) -> np.ndarray:
-    """Boolean-ish uint8 array over one chunk: 1 where the pattern is consistent.
-
-    Patterns in the chunk share the high bits ``high``; parity of a term over
-    the full pattern splits as parity(high part) xor parity(low part).
-    """
-    masks = _relation_masks(n, primitive_only)
-    tables = _parity_tables_low(n, primitive_only, low_bits)
-    bad = np.zeros(1 << low_bits, dtype=np.uint8)
-    tmp1 = np.empty_like(bad)
-    tmp2 = np.empty_like(bad)
-    for (m1, m2), (p1, p2) in zip(masks, tables):
-        a = (high & (m1 >> low_bits)).bit_count() & 1
-        b = (high & (m2 >> low_bits)).bit_count() & 1
-        np.bitwise_xor(p1, np.uint8(a), out=tmp1)
-        np.bitwise_xor(p2, np.uint8(b), out=tmp2)
-        np.bitwise_and(tmp1, tmp2, out=tmp1)
-        np.bitwise_or(bad, tmp1, out=bad)
-    np.bitwise_xor(bad, np.uint8(1), out=bad)
-    return bad
-
-
-@lru_cache(maxsize=4)
-def _parity_tables_low(
-    n: int, primitive_only: bool, low_bits: int
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per relation, uint8 arrays p1, p2 over x in 0..2**low_bits - 1 with
-    p[x] the parity of x & (low bits of the term mask)."""
-    x = np.arange(1 << low_bits, dtype=np.uint32)
-    low_mask = (1 << low_bits) - 1
-    return tuple(
-        (
-            np.bitwise_count(x & np.uint32(m1 & low_mask)) & 1,
-            np.bitwise_count(x & np.uint32(m2 & low_mask)) & 1,
-        )
-        for m1, m2 in _relation_masks(n, primitive_only)
-    )
-
-
-def _chunk_plan(n: int) -> tuple[int, int]:
-    """(low_bits, number of chunks) for the 2**m pattern range."""
-    m = Polygon(n).chord_count
-    low_bits = min(m, _CHUNK_BITS)
-    return low_bits, 1 << (m - low_bits)
-
-
-def _scanned(n: int, primitive_only: bool) -> Iterator[int]:
-    """Brute force: every consistent pattern's bits, in increasing order."""
-    low_bits, n_chunks = _chunk_plan(n)
-    for high in range(n_chunks):
-        flags = _consistent_flags_chunk(n, primitive_only, low_bits, high)
-        base = high << low_bits
-        for low in np.flatnonzero(flags).tolist():
-            yield base + low
+# blocks the frontier is cut into when it first outgrows _BLOCK_ENTRIES; the
+# unit of ``progress``
+_TOP_BLOCKS = 16
 
 
 @lru_cache(maxsize=None)
-def _lift_plan(n: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Tables that lift consistent (n-1)-gon patterns to the n-gon.
+def _plan(n: int, primitive_only: bool) -> tuple[np.ndarray, tuple]:
+    """(seed, steps): the frontier's start and its extension steps.
 
-    - ``scatter``: (mask, shift) runs that move each small chord's bit up to
-      the n-gon chord with the same labels, vertex n-1 standing for the pair.
-    - ``fibre``: the 2^(n-2) XOR masks of the coset over one small pattern.
-    - ``m1``, ``m2``: the term masks of the C(n-1, 3) extended relations with
-      a cut at n, read from the shared table in its cut order.
-    - ``ok[r, 2a + c]``: a bitset over the fibre (uint64 words), bit f set when
-      the lift by ``fibre[f]`` satisfies relation r, given a scattered pattern
-      whose terms under r have parities a and c.
+    - ``seed``: every pattern over the chords set before the first step that
+      closes a relation; no relation can reject any of them.
+    - ``steps``: per later chord d in star order, (bit of d, terms), where
+      ``terms[0, r]`` is the mask of the term of the r-th relation closing
+      at d that holds d, with d removed, and ``terms[1, r]`` is the mask of
+      its other term.
     """
     poly = Polygon(n)
-    small = Polygon(n - 1).chords if n > 4 else ()
-    runs: dict[int, int] = {}
-    for k, c in enumerate(small):
-        shift = poly.chord_index[c] - k
-        runs[shift] = runs.get(shift, 0) | 1 << k
-    scatter = tuple((np.uint64(mask), np.uint64(shift)) for shift, mask in runs.items())
-    flips = [poly.mask(((i, n - 1), (i, n))) for i in range(2, n - 2)]
-    flips += [poly.mask(((1, n - 1),)), poly.mask(((n - 2, n),))]
-    fibre = np.zeros(1, dtype=np.uint64)
-    for f in flips:
-        fibre = np.concatenate((fibre, fibre ^ np.uint64(f)))
-    cuts = itertools.combinations(range(1, n + 1), 4)
-    rows = [row for row, c in zip(_relation_masks(n, False), cuts) if c[-1] == n]
-    m1, m2 = np.array(rows, dtype=np.uint64).T.copy()
-    odd1 = np.bitwise_count(fibre & m1[:, None]) & 1
-    odd2 = np.bitwise_count(fibre & m2[:, None]) & 1
-    ok = np.zeros((len(rows), 4, max(64, len(fibre))), dtype=bool)
-    for a, c in itertools.product((0, 1), repeat=2):
-        ok[:, 2 * a + c, : len(fibre)] = ((a ^ odd1) & (c ^ odd2)) == 0
-    ok = np.packbits(ok, axis=2, bitorder="little").view("<u8")
-    for table in (fibre, m1, m2, ok):
+    order = sorted(range(poly.chord_count), key=lambda k: (poly.chords[k][0], -poly.chords[k][1]))
+    rank = {k: s for s, k in enumerate(order)}
+    closing: list[list[tuple[int, int]]] = [[] for _ in order]
+    for m1, m2 in _relation_masks(n, primitive_only):
+        last = max(rank[k] for k in range(poly.chord_count) if (m1 | m2) >> k & 1)
+        d = 1 << order[last]
+        closing[last].append((m1 ^ d, m2) if m1 & d else (m2 ^ d, m1))
+    first = min(s for s, rows in enumerate(closing) if rows)
+    seed = np.zeros(1, dtype=np.uint64)
+    for k in order[:first]:
+        seed = np.concatenate((seed, seed | np.uint64(1 << k)))
+    steps = tuple(
+        (np.uint64(1 << k), np.array(rows, dtype=np.uint64).reshape(-1, 2).T.copy())
+        for k, rows in zip(order[first:], closing[first:])
+    )
+    for table in (seed, *(terms for _, terms in steps)):
         table.setflags(write=False)  # shared by every caller of the cache
-    return scatter, fibre, m1, m2, ok
+    return seed, steps
 
 
-def _lift(n: int, small: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(base, allowed) per block of the consistent (n-1)-gon patterns ``small``.
+def _extend(x: np.ndarray, d: np.uint64, terms: np.ndarray) -> np.ndarray:
+    """The patterns among x and x | d that no relation closing at d contradicts.
 
-    ``base[s]`` is small pattern s scattered onto the n-gon; bit f of row
-    ``allowed[s]`` is set when ``base[s] ^ fibre[f]`` is consistent. A block's
-    gather holds at most _BLOCK_ENTRIES words.
+    Under x (d unset) a closing relation's term holding d has parity p0 and
+    its other term parity p1; setting d flips p0. So x is contradicted when
+    p0 and p1 are odd, x | d when p1 is odd and p0 even. The relations run in
+    groups of at most ``_BLOCK_ENTRIES // len(x)``, so a small frontier takes
+    few numpy calls.
     """
-    scatter, _, m1, m2, ok = _lift_plan(n)
-    rows = np.arange(len(m1))
-    step = max(1, _BLOCK_ENTRIES // (ok.shape[0] * ok.shape[2]))
-    for start in range(0, len(small), step):
-        block = small[start : start + step]
-        base = np.zeros_like(block)
-        for mask, shift in scatter:
-            base |= (block & mask) << shift
-        key = np.bitwise_count(base[:, None] & m1) & 1
-        key <<= 1
-        key |= np.bitwise_count(base[:, None] & m2) & 1
-        yield base, np.bitwise_and.reduce(ok[rows, key], axis=1)
+    if not terms.size:
+        return np.concatenate((x, x | d))
+    bad = np.zeros(len(x), dtype=np.uint8)
+    group = max(1, _BLOCK_ENTRIES // max(1, len(x)))
+    for s in range(0, terms.shape[1], group):
+        odd = np.bitwise_count(x & terms[:, s : s + group, None])
+        odd &= 1
+        # bit 0: x | d is contradicted, bit 1: x is
+        bad |= np.bitwise_or.reduce(odd[1] << odd[0], axis=0)
+    return np.concatenate((x[bad < 2], x[(bad & 1) == 0] | d))
 
 
-def _expand(n: int, base: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """The n-gon patterns a (base, allowed) block of ``_lift`` stands for."""
-    fibre = _lift_plan(n)[1]
-    s, f = np.nonzero(np.unpackbits(allowed.view(np.uint8), axis=1, bitorder="little"))
-    return base[s] ^ fibre[f]
+def _grow(steps: tuple, k: int, x: np.ndarray) -> tuple[int, np.ndarray]:
+    """Extend frontier x from step k until the last step or until it
+    outgrows ``_BLOCK_ENTRIES``; the step reached and the frontier."""
+    while k < len(steps) and len(x) <= _BLOCK_ENTRIES:
+        x = _extend(x, *steps[k])
+        k += 1
+    return k, x
 
 
-def _lifted(n: int, progress=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``_lift`` blocks of the consistent extended n-gon patterns, lifted level
-    by level from the single (empty) pattern of the triangle."""
-    level = np.zeros(1, dtype=np.uint64)
-    for m in range(4, n):
-        level = np.concatenate([_expand(m, *block) for block in _lift(m, level)])
+def _blocks(n: int, primitive_only: bool, progress=None) -> Iterator[np.ndarray]:
+    """The consistent n-gon patterns in uint64 blocks, in no set order.
+
+    The frontier grows from the seed until it outgrows ``_BLOCK_ENTRIES``,
+    then is cut into ``_TOP_BLOCKS`` top-level blocks. Each is finished
+    depth-first, a block that outgrows the size again being halved.
+    ``progress(done, total)`` is called after each top-level block; a
+    frontier that never outgrows the size is one top-level block.
+    """
+    seed, steps = _plan(n, primitive_only)
+    k, x = _grow(steps, 0, seed)
+    tops = np.array_split(x, _TOP_BLOCKS) if k < len(steps) else [x]
+    for done, top in enumerate(tops, 1):
+        stack = [(k, top)]
+        while stack:
+            j, y = _grow(steps, *stack.pop())
+            if j == len(steps):
+                yield y
+            else:
+                half = len(y) // 2
+                stack += [(j, y[half:]), (j, y[:half])]
         if progress is not None:
-            progress(m - 3, n - 3)
-    yield from _lift(n, level)
-    if progress is not None:
-        progress(n - 3, n - 3)
+            progress(done, len(tops))
 
 
 def count(n: int, primitive_only: bool, progress=None) -> int:
     """The number of consistent n-gon patterns; see ``count_consistent``."""
-    if not primitive_only:
-        blocks = _lifted(n, progress)
-        return sum(int(np.bitwise_count(allowed).sum()) for _, allowed in blocks)
-    low_bits, n_chunks = _chunk_plan(n)
-    total = 0
-    for high in range(n_chunks):
-        total += int(np.count_nonzero(_consistent_flags_chunk(n, True, low_bits, high)))
-        if progress is not None:
-            progress(high + 1, n_chunks)
-    return total
+    return sum(len(block) for block in _blocks(n, primitive_only, progress))
 
 
-def consistent_bits(n: int, primitive_only: bool) -> Iterable[int]:
-    """The bits of every consistent n-gon pattern, in increasing order."""
-    if primitive_only:
-        return _scanned(n, True)
-    blocks = [_expand(n, *block) for block in _lifted(n)]
-    return np.sort(np.concatenate(blocks)).tolist()
+def consistent_bits(n: int, primitive_only: bool) -> Iterator[int]:
+    """The bits of every consistent n-gon pattern, in increasing order.
+
+    The patterns are sorted as one uint64 array and turned into ints one
+    slice at a time.
+    """
+    bits = np.concatenate(list(_blocks(n, primitive_only)))
+    bits.sort()
+    for start in range(0, len(bits), _BLOCK_ENTRIES):
+        yield from bits[start : start + _BLOCK_ENTRIES].tolist()

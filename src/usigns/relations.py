@@ -6,8 +6,9 @@ out negative (two negative reals cannot sum to 1; every other sign combination
 is achievable), and is consistent when it contradicts no extended relation.
 
 Counting and streaming the consistent patterns run on numpy in
-``_enumeration``, which is imported on first use: nothing else in the
-package needs numpy.
+``_enumeration``, one frontier enumerator for both relation sets that checks
+each relation of the shared mask table once, when its last chord is set. It
+is imported on first use: nothing else in the package needs numpy.
 """
 from __future__ import annotations
 
@@ -20,7 +21,11 @@ from .ngon import Chord, Polygon, crossing_chords, cyclic_intervals
 from .patterns import SignPattern
 
 # chord bits of the 12-gon (54) are the most a uint64 pattern holds
-_LIFT_MAX_N = 12
+_ENUMERATION_MAX_N = 12
+
+# a sorted primitive-only stream at n = 11 (415 703 183 patterns, 3.3 GB as
+# uint64) does not fit in memory beside its blocks
+_PRIMITIVE_STREAM_MAX_N = 10
 
 
 @dataclass(frozen=True)
@@ -113,10 +118,18 @@ def is_consistent(poly: Polygon, pattern: SignPattern, primitive_only: bool = Fa
     return True
 
 
-def _check_enumerable(n: int) -> None:
-    """The enumeration packs each pattern into one uint64."""
-    if n > _LIFT_MAX_N:
-        raise ValueError(f"n={n} has more chords than a uint64 holds (n <= {_LIFT_MAX_N})")
+def _check_enumerable(n: int, primitive_stream: bool = False) -> None:
+    """The enumeration packs each pattern into one uint64, and a stream
+    holds all of its patterns at once."""
+    if n > _ENUMERATION_MAX_N:
+        raise ValueError(
+            f"n={n} has more chords than a uint64 holds (n <= {_ENUMERATION_MAX_N})"
+        )
+    if primitive_stream and n > _PRIMITIVE_STREAM_MAX_N:
+        raise ValueError(
+            f"the primitive-only patterns of the {n}-gon do not fit in memory "
+            f"to be streamed (n <= {_PRIMITIVE_STREAM_MAX_N}); count them instead"
+        )
 
 
 def count_consistent(
@@ -127,10 +140,10 @@ def count_consistent(
 ) -> int:
     """Count sign patterns consistent with the chosen relation set.
 
-    Extended relations lift level by level; ``progress(levels_done,
-    levels_total)`` is called after each level. Primitive-only scans all
-    2^(n(n-3)/2) patterns in chunks; ``progress(chunks_done, chunks_total)``
-    is called after each chunk.
+    ``progress(blocks_done, blocks_total)`` is called after each top-level
+    block of the enumeration, the same way in both modes: the calls are
+    monotone and the last is (blocks_total, blocks_total). A small n is one
+    block; a frontier that outgrows the block size is cut into 16.
     """
     _check_enumerable(poly.n)
     from . import _enumeration
@@ -139,8 +152,13 @@ def count_consistent(
 
 
 def consistent_patterns(poly: Polygon, primitive_only: bool = False) -> Iterator[SignPattern]:
-    """Stream the consistent patterns in increasing bitmask order."""
-    _check_enumerable(poly.n)
+    """Stream the consistent patterns in increasing bitmask order.
+
+    The patterns are enumerated and sorted on the first ``next``; a
+    primitive-only stream is refused beyond n = 10, where they no longer fit
+    in memory.
+    """
+    _check_enumerable(poly.n, primitive_only)
     from . import _enumeration
 
     for b in _enumeration.consistent_bits(poly.n, primitive_only):

@@ -73,7 +73,7 @@ def test_count_cap(capsys):
 
 
 def test_count_primitive_only_warns_before_brute_force(capsys, monkeypatch):
-    # the scan itself is replaced, so nothing is enumerated here
+    # the count itself is replaced, so nothing is enumerated here
     calls = []
 
     def fake_count(poly, primitive_only=False, **kwargs):
@@ -81,17 +81,34 @@ def test_count_primitive_only_warns_before_brute_force(capsys, monkeypatch):
         return 0
 
     monkeypatch.setattr("usigns.cli.count_consistent", fake_count)
-    code, _, err = run(capsys, "count", "10", "--primitive-only")
-    assert code == 0 and calls == [(10, True)]
+    code, _, err = run(capsys, "count", "11", "--primitive-only")
+    assert code == 0 and calls == [(11, True)]
     warnings = [line for line in err.splitlines() if line.startswith("warning:")]
     assert len(warnings) == 1
-    assert f"2^35 = {2**35} sign patterns" in warnings[0]
-    code, _, err = run(capsys, "count", "11", "--primitive-only", "--json")
-    assert code == 0 and f"2^44 = {2**44}" in err
-    for argv in (("count", "10"), ("count", "9", "--primitive-only")):
+    assert "n=11 takes about 5 minutes" in warnings[0]
+    code, _, err = run(capsys, "count", "12", "--primitive-only", "--json")
+    assert code == 0 and "n=12 takes far longer than n=11 (unmeasured)" in err
+    for argv in (("count", "10", "--primitive-only"), ("count", "12")):
         code, _, err = run(capsys, *argv)
         assert code == 0 and "warning" not in err
     assert len(calls) == 4
+
+
+def test_count_primitive_stream_beyond_memory_exit_3(tmp_path, capsys):
+    path = tmp_path / "patterns.txt"
+    code, out, err = run(capsys, "count", "11", "--primitive-only", "--out", str(path))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("usigns: error:")
+    assert not path.exists()
+
+
+def test_count_progress_has_one_label(capsys):
+    # both modes count top-level blocks; n = 9 extended fits one block
+    code, _, err = run(capsys, "count", "9")
+    assert code == 0 and err == "\rblocks 1/1\n"
+    code, _, err = run(capsys, "count", "9", "--primitive-only")
+    assert code == 0 and err.endswith("\rblocks 16/16\n")
+    assert err.count("blocks") == 16
 
 
 def test_count_has_no_threads_flag(capsys):

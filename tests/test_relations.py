@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import itertools
-import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from usigns import (
     Polygon,
     SignPattern,
+    all_orderings,
     coarsen,
     consistent_patterns,
     contradicts,
@@ -18,8 +19,10 @@ from usigns import (
     is_consistent,
     primitive_relation,
     primitive_relations,
+    sign_of_ordering,
 )
-from usigns._enumeration import _lift_plan, _scanned
+from usigns import _enumeration
+from usigns._enumeration import _plan
 from usigns.relations import _relation_masks
 
 from conftest import consistent_bits, reflect_pattern, rotate_pattern
@@ -153,7 +156,7 @@ def test_enumeration_against_relation_scan(n):
 
 @pytest.mark.parametrize(
     "n,primitive,extended",
-    [(4, 3, 3), (5, 12, 12), (6, 74, 60), (7, 697, 360)],
+    [(4, 3, 3), (5, 12, 12), (6, 74, 60), (7, 697, 360), (9, 227525, 20160)],
 )
 def test_consistent_counts(n, primitive, extended):
     poly = Polygon(n)
@@ -171,26 +174,50 @@ def test_count_cap():
             list(consistent_patterns(Polygon(13), primitive_only))
 
 
-@pytest.mark.parametrize(
-    "n", [4, 5, 6, 7, 8, pytest.param(9, marks=pytest.mark.stretch)]
-)
-def test_lift_matches_brute_force_kernel(n):
-    # the chunked scan over all 2^(n(n-3)/2) patterns is the reference
-    lifted = [p.bits for p in consistent_patterns(Polygon(n))]
-    assert lifted == list(_scanned(n, False))
-    assert count_consistent(Polygon(n)) == len(lifted)
+def _brute_force_bits(n, primitive_only):
+    """Every pattern of the n-gon tested against every row of the mask table."""
+    x = np.arange(1 << Polygon(n).chord_count, dtype=np.uint64)
+    ok = np.ones(len(x), dtype=bool)
+    for m1, m2 in _relation_masks(n, primitive_only):
+        odd1 = np.bitwise_count(x & np.uint64(m1))
+        odd2 = np.bitwise_count(x & np.uint64(m2))
+        ok &= (odd1 & odd2 & 1) == 0
+    return np.flatnonzero(ok).tolist()
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
-def test_lift_fibre_is_coarsening_kernel(n):
-    poly = Polygon(n)
-    merge = tuple(range(1, n))
-    _, fibre, m1, m2, _ = _lift_plan(n)
-    assert len(set(fibre.tolist())) == len(fibre) == 1 << (n - 2)
-    for f in fibre.tolist():
-        assert coarsen(poly, merge, SignPattern(n, f)) == SignPattern.all_plus(n - 1)
-    # one relation per 3 further cuts beside the cut at n
-    assert len(m1) == len(m2) == math.comb(n - 1, 3)
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_enumeration_matches_brute_force(n):
+    for primitive_only in (False, True):
+        expected = _brute_force_bits(n, primitive_only)
+        streamed = [p.bits for p in consistent_patterns(Polygon(n), primitive_only)]
+        assert streamed == expected
+        assert count_consistent(Polygon(n), primitive_only) == len(expected)
+
+
+def test_stream_independent_of_block_size(monkeypatch):
+    # blocks of at most 32 patterns are split many times over at n = 7
+    monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", 32)
+    for primitive_only in (False, True):
+        streamed = [p.bits for p in consistent_patterns(Polygon(7), primitive_only)]
+        assert streamed == _brute_force_bits(7, primitive_only)
+
+
+def test_nine_gon_stream_is_the_orderings():
+    poly = Polygon(9)
+    streamed = [p.bits for p in consistent_patterns(poly)]
+    assert streamed == sorted({sign_of_ordering(poly, w).bits for w in all_orderings(poly)})
+
+
+@pytest.mark.stretch
+def test_ten_gon_primitive_count():
+    # a brute-force scan of all 2^35 patterns gives the same count
+    assert count_consistent(Polygon(10), primitive_only=True) == 7850228
+
+
+def test_primitive_stream_refused_beyond_memory():
+    # 415 703 183 patterns at n = 11 do not fit in memory once sorted
+    with pytest.raises(ValueError, match="memory"):
+        next(consistent_patterns(Polygon(11), primitive_only=True))
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -208,10 +235,17 @@ def test_lift_rejects_n_beyond_uint64():
         list(consistent_patterns(Polygon(13)))
 
 
-def test_count_progress_reports_levels():
-    calls = []
-    assert count_consistent(Polygon(7), progress=lambda *a: calls.append(a)) == 360
-    assert calls == [(1, 4), (2, 4), (3, 4), (4, 4)]
+def test_count_progress_counts_blocks(monkeypatch):
+    # one convention in both modes: monotone calls over the top-level blocks,
+    # the last one (total, total); a frontier that fits one block is one block
+    poly = Polygon(7)
+    for primitive_only, expected in ((False, 360), (True, 697)):
+        for block_entries, blocks in ((1 << 16, 1), (32, 16)):
+            monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", block_entries)
+            calls = []
+            got = count_consistent(poly, primitive_only, progress=lambda *a: calls.append(a))
+            assert got == expected
+            assert calls == [(k, blocks) for k in range(1, blocks + 1)]
 
 
 def test_stream_matches_count():
@@ -321,13 +355,23 @@ def test_relation_terms_table(n):
 
 
 @pytest.mark.parametrize("n", range(4, 13))
-def test_lift_plan_reads_cut_at_n_rows(n):
-    # the lift's relations are those with a cut at n, in cut order
+def test_plan_checks_each_relation_once_at_its_last_chord(n):
     poly = Polygon(n)
-    rels = [
-        extended_relation(poly, cuts + (n,))
-        for cuts in itertools.combinations(range(1, n), 3)
-    ]
-    _, _, m1, m2, _ = _lift_plan(n)
-    assert m1.tolist() == [poly.mask(r.t1) for r in rels]
-    assert m2.tolist() == [poly.mask(r.t2) for r in rels]
+    star = sorted(poly.chords, key=lambda c: (c[0], -c[1]))
+    for primitive_only in (False, True):
+        seed, steps = _plan(n, primitive_only)
+        free = len(star) - len(steps)
+        # the seed holds every sign choice on the chords before the first step
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(star[:free], k) for k in range(free + 1)
+        )
+        assert sorted(seed.tolist()) == sorted(poly.mask(s) for s in subsets)
+        checked = Counter()
+        for k, (d, terms) in enumerate(steps, free):
+            assert int(d) == poly.mask([star[k]])
+            set_by_now = poly.mask(star[: k + 1])
+            for held, other in zip(*terms.tolist()):
+                assert held & int(d) == 0 and other & int(d) == 0
+                assert (held | other) & ~set_by_now == 0
+                checked[frozenset((held | int(d), other))] += 1
+        assert checked == Counter(frozenset(r) for r in _relation_masks(n, primitive_only))
