@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -175,18 +176,43 @@ def test_count_cap():
 
 
 def _brute_force_bits(n, primitive_only):
-    """Every pattern of the n-gon tested against every row of the mask table."""
-    x = np.arange(1 << Polygon(n).chord_count, dtype=np.uint64)
-    ok = np.ones(len(x), dtype=bool)
-    for m1, m2 in _relation_masks(n, primitive_only):
-        odd1 = np.bitwise_count(x & np.uint64(m1))
-        odd2 = np.bitwise_count(x & np.uint64(m2))
-        ok &= (odd1 & odd2 & 1) == 0
-    return np.flatnonzero(ok).tolist()
+    """Every pattern of the n-gon tested against every row of the mask table.
+
+    A pattern is x = hi << h | lo; a term's parity under x is its parity under
+    lo xor its parity under hi << h. Each half's parities over all rows are
+    packed into uint64 words, so a pattern contradicts a row exactly when the
+    two terms' packed parities share a set bit.
+    """
+    masks = np.array(_relation_masks(n, primitive_only), dtype=np.uint64)
+    m = Polygon(n).chord_count
+    h = m // 2
+
+    def packed(values, shift):
+        # [term][word] over values: bit r of a word is the term's parity on row r
+        odd = np.bitwise_count(values[:, None, None] & (masks.T[None] >> np.uint64(shift))) & 1
+        words = np.packbits(odd, axis=2, bitorder="little")
+        words = np.pad(words, ((0, 0), (0, 0), (0, -words.shape[2] % 8)))
+        return np.ascontiguousarray(words).view(np.uint64).transpose(1, 2, 0).copy()
+
+    lo = packed(np.arange(1 << h, dtype=np.uint64), 0)
+    hi = packed(np.arange(1 << (m - h), dtype=np.uint64), h)[..., None]
+    found = []
+    rows = max(1, (1 << 20) >> h)  # about 2^20 patterns at a time
+    for start in range(0, hi.shape[2], rows):
+        bad = np.zeros((min(rows, hi.shape[2] - start), 1 << h), dtype=bool)
+        for w in range(lo.shape[1]):
+            both = (lo[0, w] ^ hi[0, w, start : start + rows]) & (lo[1, w] ^ hi[1, w, start : start + rows])
+            bad |= both != 0
+        found.append(np.flatnonzero(~bad.ravel()) + (start << h))
+    return np.concatenate(found).tolist()
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-def test_enumeration_matches_brute_force(n):
+@pytest.mark.parametrize(
+    "n", [4, 5, 6, 7, 8, pytest.param(9, marks=pytest.mark.stretch)]
+)
+def test_lift_matches_brute_force_kernel(n):
+    # the frontier lifts patterns chord by chord; the reference tests every
+    # one of the 2^(n(n-3)/2) patterns against every relation
     for primitive_only in (False, True):
         expected = _brute_force_bits(n, primitive_only)
         streamed = [p.bits for p in consistent_patterns(Polygon(n), primitive_only)]
@@ -218,6 +244,30 @@ def test_primitive_stream_refused_beyond_memory():
     # 415 703 183 patterns at n = 11 do not fit in memory once sorted
     with pytest.raises(ValueError, match="memory"):
         next(consistent_patterns(Polygon(11), primitive_only=True))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_lift_fibre_is_coarsening_kernel(n):
+    # merging n - 1 and n, coarsening is linear mod 2, keeps every chord away
+    # from n - 1 and n and sends the chords at them onto the chords at the
+    # merged vertex; so the fibre over the all-plus (n-1)-gon pattern lies
+    # on the chords at n - 1 or n
+    poly, small = Polygon(n), Polygon(n - 1)
+    merge = tuple(range(1, n))
+    merged = small.mask(c for c in small.chords if c[1] == n - 1)
+    near = [c for c in poly.chords if c[1] >= n - 1]
+    for c in poly.chords:
+        image = coarsen(poly, merge, SignPattern(n, poly.mask([c]))).bits
+        assert image & ~merged == 0 if c in near else image == small.mask([c])
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(near, k) for k in range(len(near) + 1)
+    )
+    fibre = [
+        bits
+        for bits in map(poly.mask, subsets)
+        if coarsen(poly, merge, SignPattern(n, bits)) == SignPattern.all_plus(n - 1)
+    ]
+    assert len(set(fibre)) == len(fibre) == 1 << (n - 2)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -375,3 +425,23 @@ def test_plan_checks_each_relation_once_at_its_last_chord(n):
                 assert (held | other) & ~set_by_now == 0
                 checked[frozenset((held | int(d), other))] += 1
         assert checked == Counter(frozenset(r) for r in _relation_masks(n, primitive_only))
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_lift_plan_reads_cut_at_n_rows(n):
+    # the relations with a cut at n close at the chords to n: cuts
+    # (a, b, c, n) at chord (c - 1, n), in cut order
+    poly = Polygon(n)
+    star = sorted(poly.chords, key=lambda c: (c[0], -c[1]))
+    _, steps = _plan(n, False)
+    got, expected = [], []
+    for (i, j), (d, terms) in zip(star[-len(steps) :], steps):
+        if j != n:
+            continue
+        got += zip(*terms.tolist())
+        for cuts in itertools.combinations(range(1, i + 1), 2):
+            r = extended_relation(poly, cuts + (i + 1, n))
+            m1, m2 = poly.mask(r.t1), poly.mask(r.t2)
+            expected.append((m1 ^ int(d), m2) if m1 & int(d) else (m2 ^ int(d), m1))
+    assert got == expected
+    assert len(got) == math.comb(n - 1, 3)
