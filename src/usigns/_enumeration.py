@@ -31,15 +31,12 @@ _TOP_BLOCKS = 16
 
 
 @lru_cache(maxsize=None)
-def _plan(n: int, primitive_only: bool) -> tuple[np.ndarray, tuple]:
-    """(seed, steps): the frontier's start and its extension steps.
-
-    - ``seed``: every pattern over the chords set before the first step that
-      closes a relation; no relation can reject any of them.
-    - ``steps``: per later chord d in star order, (bit of d, terms), where
-      ``terms[0, r]`` is the mask of the term of the r-th relation closing
-      at d that holds d, with d removed, and ``terms[1, r]`` is the mask of
-      its other term.
+def _plan(n: int, primitive_only: bool) -> tuple:
+    """The frontier's extension steps: per chord d in star order, (bit of d,
+    terms), where ``terms[0, r]`` is the mask of the term of the r-th
+    relation closing at d that holds d, with d removed, and ``terms[1, r]``
+    is the mask of its other term. A step that closes nothing doubles the
+    frontier.
     """
     poly = Polygon(n)
     order = sorted(range(poly.chord_count), key=lambda k: (poly.chords[k][0], -poly.chords[k][1]))
@@ -49,17 +46,13 @@ def _plan(n: int, primitive_only: bool) -> tuple[np.ndarray, tuple]:
         last = max(rank[k] for k in range(poly.chord_count) if (m1 | m2) >> k & 1)
         d = 1 << order[last]
         closing[last].append((m1 ^ d, m2) if m1 & d else (m2 ^ d, m1))
-    first = min(s for s, rows in enumerate(closing) if rows)
-    seed = np.zeros(1, dtype=np.uint64)
-    for k in order[:first]:
-        seed = np.concatenate((seed, seed | np.uint64(1 << k)))
     steps = tuple(
         (np.uint64(1 << k), np.array(rows, dtype=np.uint64).reshape(-1, 2).T.copy())
-        for k, rows in zip(order[first:], closing[first:])
+        for k, rows in zip(order, closing)
     )
-    for table in (seed, *(terms for _, terms in steps)):
-        table.setflags(write=False)  # shared by every caller of the cache
-    return seed, steps
+    for _, terms in steps:
+        terms.setflags(write=False)  # shared by every caller of the cache
+    return steps
 
 
 def _extend(x: np.ndarray, d: np.uint64, terms: np.ndarray) -> np.ndarray:
@@ -95,14 +88,14 @@ def _grow(steps: tuple, k: int, x: np.ndarray) -> tuple[int, np.ndarray]:
 def _blocks(n: int, primitive_only: bool, progress=None) -> Iterator[np.ndarray]:
     """The consistent n-gon patterns in uint64 blocks, in no set order.
 
-    The frontier grows from the seed until it outgrows ``_BLOCK_ENTRIES``,
+    The frontier grows from one zero pattern until it outgrows ``_BLOCK_ENTRIES``,
     then is cut into ``_TOP_BLOCKS`` top-level blocks. Each is finished
     depth-first, a block that outgrows the size again being halved.
     ``progress(done, total)`` is called after each top-level block; a
     frontier that never outgrows the size is one top-level block.
     """
-    seed, steps = _plan(n, primitive_only)
-    k, x = _grow(steps, 0, seed)
+    steps = _plan(n, primitive_only)
+    k, x = _grow(steps, 0, np.zeros(1, dtype=np.uint64))
     tops = np.array_split(x, _TOP_BLOCKS) if k < len(steps) else [x]
     for done, top in enumerate(tops, 1):
         stack = [(k, top)]

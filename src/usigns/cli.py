@@ -1,8 +1,9 @@
 """Command-line surface: relations, count, solve, sign-of, verify, diagram.
 
 Exit codes: 0 success, 1 verification failure, 2 inconsistent input pattern,
-3 usage error. All output is deterministic for fixed flags; the only
-randomness (sampled oracle checks at n=8) is seeded.
+3 usage error or an output file that cannot be opened or written. All output
+is deterministic for fixed flags; the only randomness (sampled oracle checks
+at n=8) is seeded.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .points import realize, signs_from_points
 from .signs import sign_of_ordering
 from .solver import (
     InconsistentPatternError,
+    IntransitiveOrderError,
     IterationLimitError,
     SolverTrace,
     ordering_from_sign_matrix,
@@ -45,10 +47,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _product_str(term) -> str:
@@ -92,29 +90,26 @@ def _trace_json(trace: SolverTrace) -> list[dict]:
 
 def _parse_pattern(poly: Polygon, text: str | None) -> SignPattern:
     if text is None:
-        raise UsageError("--pattern is required")
-    try:
-        return SignPattern.from_string(poly.n, text.strip())
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError("--pattern is required")
+    return SignPattern.from_string(poly.n, text.strip())
 
 
 def _parse_word(poly: Polygon, text: str | None) -> tuple[int, ...]:
     if text is None:
-        raise UsageError("--ordering is required")
+        raise ValueError("--ordering is required")
     pieces = text.replace(",", " ").split()
     try:
         word = tuple(int(p) for p in pieces)
     except ValueError as exc:
-        raise UsageError(f"cannot parse ordering {text!r}") from exc
+        raise ValueError(f"cannot parse ordering {text!r}") from exc
     if sorted(word) != list(range(1, poly.n + 1)):
-        raise UsageError(f"{text!r} is not a permutation of 1..{poly.n}")
+        raise ValueError(f"{text!r} is not a permutation of 1..{poly.n}")
     return word
 
 
 def cmd_relations(args) -> int:
     if not 4 <= args.n <= _ENUMERATION_MAX_N:
-        raise UsageError(f"n must be in 4..{_ENUMERATION_MAX_N}, got {args.n}")
+        raise ValueError(f"n must be in 4..{_ENUMERATION_MAX_N}, got {args.n}")
     poly = Polygon(args.n)
     rels = primitive_relations(poly) if args.primitive else extended_relations(poly)
     if args.json:
@@ -231,12 +226,18 @@ def _verify_suites(n: int, seed: int):
     matrix_ok = True
     for bits in sorted(consistent_bits):
         pattern = SignPattern(n, bits)
-        word, trace = solve(poly, pattern)
-        if sign_of_ordering(poly, word).bits != bits:
+        try:
+            word, _ = solve(poly, pattern)
+        except (InconsistentPatternError, IterationLimitError):
+            word = None
+        if word is None or sign_of_ordering(poly, word).bits != bits:
             solver_ok = False
             break
         if n <= 7:
-            other = ordering_from_sign_matrix(poly, reconstruct_sign_matrix(poly, pattern))
+            try:
+                other = ordering_from_sign_matrix(poly, reconstruct_sign_matrix(poly, pattern))
+            except IntransitiveOrderError:
+                other = None
             if other != word:
                 matrix_ok = False
     yield "solver", solver_ok
@@ -257,7 +258,7 @@ def _verify_suites(n: int, seed: int):
 
 def cmd_verify(args) -> int:
     if not 4 <= args.n <= 8:
-        raise UsageError(f"verify supports n in 4..8, got {args.n}")
+        raise ValueError(f"verify supports n in 4..8, got {args.n}")
     results = dict(_verify_suites(args.n, args.seed))
     ok = all(results.values())
     if args.json:
@@ -312,11 +313,8 @@ def cmd_diagram(args) -> int:
     poly = Polygon(args.n)
     pattern = _parse_pattern(poly, args.pattern)
     svg = render_diagram(poly, pattern)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        raise UsageError(f"cannot write {args.out}: {exc}") from exc
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(svg)
     return EXIT_OK
 
 
@@ -403,10 +401,7 @@ def main(argv=None) -> int:
         setattr(args, name, value)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usigns: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"usigns: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,7 +8,7 @@ enumeration and the solver's sign transports cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .ngon import Chord, Polygon
 
@@ -90,16 +90,6 @@ def stats(pattern: SignPattern) -> tuple[int, int | None]:
     return bits.bit_count(), min(d for k, d in enumerate(lengths) if bits >> k & 1)
 
 
-def _negative_keys(pattern: SignPattern) -> Iterator[tuple[int, int, int]]:
-    """(length, a, b) for every negative chord, oriented so that b == a +
-    length mod n; a chord of length n/2 keeps its smaller endpoint first."""
-    poly = Polygon(pattern.n)
-    bits = pattern.bits
-    for k, ((i, j), d) in enumerate(zip(poly.chords, poly.lengths)):
-        if bits >> k & 1:
-            yield (d, i, j) if j - i == d else (d, j, poly.wrap(j + d))
-
-
 def shortest_negative(pattern: SignPattern) -> tuple[int, int]:
     """Oriented shortest negative chord (a, b) with b == a + length mod n.
 
@@ -107,7 +97,13 @@ def shortest_negative(pattern: SignPattern) -> tuple[int, int]:
     arcs tie (length n/2) the orientation with the smaller first endpoint is
     used. Ties between chords are broken lexicographically on (a, b).
     """
-    best = min(_negative_keys(pattern), default=None)
-    if best is None:
+    bits = pattern.bits
+    if not bits:
         raise ValueError("pattern has no negative chord")
-    return best[1], best[2]
+    poly = Polygon(pattern.n)
+    _, a, b = min(
+        (d, i, j) if j - i == d else (d, j, poly.wrap(j + d))
+        for k, ((i, j), d) in enumerate(zip(poly.chords, poly.lengths))
+        if bits >> k & 1
+    )
+    return a, b

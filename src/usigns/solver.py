@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ngon import Polygon, canonicalize, compose_transposition
-from .patterns import SignPattern, _negative_keys, stats
+from .patterns import SignPattern, shortest_negative, stats
 from .relations import is_consistent
 from .signs import _transport_bits, _transposition_table
 
@@ -82,18 +82,12 @@ def default_iteration_bound(n: int) -> int:
     return 4 * n**3
 
 
-def solve(
-    poly: Polygon,
-    pattern: SignPattern,
-    *,
-    max_iterations: int | None = None,
-    largest_tie_break: bool = False,
-) -> tuple[tuple[int, ...], SolverTrace]:
+def solve(poly: Polygon, pattern: SignPattern) -> tuple[tuple[int, ...], SolverTrace]:
     """Canonical dihedral ordering whose component carries ``pattern``.
 
     The input must be consistent (checked up front); the returned trace
-    records every transposition. The iteration bound is a safety net only,
-    termination for consistent input is guaranteed.
+    records every transposition. The ``default_iteration_bound`` is a safety
+    net only, termination for consistent input is guaranteed.
     """
     if pattern.n != poly.n:
         raise ValueError(f"pattern is for n={pattern.n}, polygon has n={poly.n}")
@@ -101,7 +95,7 @@ def solve(
         raise InconsistentPatternError(
             f"pattern {pattern} contradicts an extended u-relation"
         )
-    bound = default_iteration_bound(poly.n) if max_iterations is None else max_iterations
+    bound = default_iteration_bound(poly.n)
     word = poly.identity_word
     current = pattern
     steps: list[TraceStep] = []
@@ -111,11 +105,7 @@ def solve(
                 f"no all-plus pattern within {bound} iterations",
                 SolverTrace(pattern, tuple(steps)),
             )
-        keys = _negative_keys(current)
-        if largest_tie_break:  # shortest first, ties reverse-lexicographic on (a, b)
-            _, a, b = max(keys, key=lambda key: (-key[0], key[1], key[2]))
-        else:
-            _, a, b = min(keys)
+        a, b = shortest_negative(current)
         p = poly.wrap(a + 1)
         q = b
         x, y = word[p - 1], word[q - 1]

@@ -1,11 +1,21 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import usigns
 from usigns.cli import main
-from usigns.solver import IterationLimitError, SolverTrace
+from usigns.solver import (
+    InconsistentPatternError,
+    IntransitiveOrderError,
+    IterationLimitError,
+    SolverTrace,
+)
 
 
 def run(capsys, *argv):
@@ -137,6 +147,30 @@ def test_count_out_leaves_stderr_empty(tmp_path, capsys):
     assert len(path.read_text().splitlines()) == 20160
 
 
+@pytest.mark.parametrize("target", ["missing/patterns.txt", "."])
+def test_count_out_unwritable_exit_3(target, tmp_path, capsys):
+    # a missing directory, or a directory in place of the file
+    code, out, err = run(capsys, "count", "6", "--out", str(tmp_path / target))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("usigns: error:")
+
+
+def test_count_out_unwritable_process_exit_3(tmp_path):
+    # the exit status and stderr of a real process, not main()'s return value
+    src = str(Path(usigns.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = str(tmp_path / "missing" / "f.txt")
+    proc = subprocess.run(
+        [sys.executable, "-m", "usigns.cli", "count", "6", "--out", out],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("usigns: error:") and "Traceback" not in proc.stderr
+
+
 def test_solve_text(capsys):
     code, out, _ = run(capsys, "solve", "5", "--pattern", "-++++")
     assert code == 0
@@ -224,6 +258,29 @@ def test_verify_json(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["suites"]["reconstruction"] is True
+
+
+@pytest.mark.parametrize(
+    "error", [IterationLimitError("tripped", None), InconsistentPatternError("tripped")]
+)
+def test_verify_solver_raising_fails_its_suite(error, capsys, monkeypatch):
+    def raising(poly, pattern):
+        raise error
+
+    monkeypatch.setattr("usigns.cli.solve", raising)
+    code, out, err = run(capsys, "verify", "5")
+    assert code == 1 and err == ""
+    assert "solver: FAIL" in out and "count: pass" in out
+
+
+def test_verify_matrix_route_raising_fails_its_suite(capsys, monkeypatch):
+    def raising(poly, matrix):
+        raise IntransitiveOrderError("tripped")
+
+    monkeypatch.setattr("usigns.cli.ordering_from_sign_matrix", raising)
+    code, out, err = run(capsys, "verify", "5")
+    assert code == 1 and err == ""
+    assert "reconstruction: FAIL" in out and "solver: pass" in out
 
 
 def test_verify_range(capsys):

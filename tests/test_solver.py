@@ -14,8 +14,10 @@ from usigns import (
     SignPattern,
     all_orderings,
     canonicalize,
+    compose_transposition,
     is_consistent,
     map_for_ordering,
+    map_for_transposition,
     ordering_from_sign_matrix,
     realize,
     reconstruct_sign_matrix,
@@ -59,10 +61,11 @@ def test_solve_rejects_all_inconsistent_patterns(n):
                 solve(poly, SignPattern(n, bits))
 
 
-def test_iteration_limit():
+def test_iteration_limit(monkeypatch):
+    monkeypatch.setattr("usigns.solver.default_iteration_bound", lambda n: 0)
     poly = Polygon(5)
     with pytest.raises(IterationLimitError) as err:
-        solve(poly, SignPattern.from_string(5, "-++++"), max_iterations=0)
+        solve(poly, SignPattern.from_string(5, "-++++"))
     assert err.value.trace.iterations == 0
 
 
@@ -76,14 +79,38 @@ def test_solve_roundtrip_exhaustive(n):
         assert word == canonicalize(word)
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [5, 6, 7])
 def test_solve_tie_break_independent_result(n):
+    # a consistent pattern carries one ordering, so at every state of the walk
+    # flipping any of the shortest negative chords must lead back to it
     poly = Polygon(n)
+    ties = 0
     for bits in consistent_bits(n):
         pattern = SignPattern(n, bits)
-        w1, _ = solve(poly, pattern)
-        w2, _ = solve(poly, pattern, largest_tie_break=True)
-        assert w1 == w2
+        expected, trace = solve(poly, pattern)
+        word = poly.identity_word
+        states = (pattern,) + tuple(step.pattern for step in trace.steps)
+        for state, step in zip(states, trace.steps):
+            lengths = {c: poly.chord_length(c) for c in state.negatives()}
+            shortest = min(lengths.values())
+            oriented = [
+                (i, j) if j - i == shortest else (j, poly.wrap(j + shortest))
+                for (i, j), d in lengths.items()
+                if d == shortest
+            ]
+            assert step.chord in oriented
+            swapped = compose_transposition(word, *step.swap)
+            for a, b in oriented:
+                p = poly.wrap(a + 1)
+                moved = compose_transposition(word, word[p - 1], word[b - 1])
+                after = transport(state, map_for_transposition(poly, p, b))
+                if (a, b) == step.chord:
+                    assert (moved, after) == (swapped, step.pattern)
+                rest, _ = solve(poly, after)
+                assert canonicalize([moved[v - 1] for v in rest]) == expected
+            ties += len(oriented) > 1
+            word = swapped
+    assert ties > 0
 
 
 def test_solve_incremental_matches_from_scratch():
