@@ -1,4 +1,5 @@
-"""The numpy half of ``relations``: counting and streaming consistent patterns.
+"""The numpy half of ``relations``: counting, streaming and writing consistent
+patterns.
 
 One frontier enumerator serves both relation sets. It sets the chords one at
 a time in star order: by smaller endpoint, ascending, and within that by
@@ -14,7 +15,7 @@ are finished depth-first, so memory stays bounded at every n.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -28,6 +29,12 @@ _BLOCK_ENTRIES = 1 << 16
 # blocks the frontier is cut into when it first outgrows _BLOCK_ENTRIES; the
 # unit of ``progress``
 _TOP_BLOCKS = 16
+
+# patterns ``write_consistent`` formats per write
+_WRITE_ROWS = 1 << 12
+
+# the sign character of a clear and of a set chord bit, as in SignPattern.__str__
+_SIGN_BYTES = np.frombuffer(b"+-", dtype=np.uint8)
 
 
 @lru_cache(maxsize=None)
@@ -115,13 +122,35 @@ def count(n: int, primitive_only: bool, progress=None) -> int:
     return sum(len(block) for block in _blocks(n, primitive_only, progress))
 
 
-def consistent_bits(n: int, primitive_only: bool) -> Iterator[int]:
-    """The bits of every consistent n-gon pattern, in increasing order.
-
-    The patterns are sorted as one uint64 array and turned into ints one
-    slice at a time.
-    """
+def _sorted_bits(n: int, primitive_only: bool) -> np.ndarray:
+    """Every consistent n-gon pattern as one uint64 array, in increasing order."""
     bits = np.concatenate(list(_blocks(n, primitive_only)))
     bits.sort()
+    return bits
+
+
+def consistent_bits(n: int, primitive_only: bool) -> Iterator[int]:
+    """The bits of every consistent n-gon pattern, in increasing order,
+    turned into ints one slice at a time."""
+    bits = _sorted_bits(n, primitive_only)
     for start in range(0, len(bits), _BLOCK_ENTRIES):
         yield from bits[start : start + _BLOCK_ENTRIES].tolist()
+
+
+def write_consistent(n: int, primitive_only: bool, fh: BinaryIO) -> int:
+    """Write every consistent n-gon pattern to the binary file ``fh``, one
+    ``str(SignPattern)`` line each in increasing order; the number written.
+
+    Each slice of patterns is unpacked into one bit per byte, chord k being
+    column k, and mapped to its sign characters in a reused buffer.
+    """
+    bits = _sorted_bits(n, primitive_only)
+    m = Polygon(n).chord_count
+    lines = np.full((_WRITE_ROWS, m + 1), ord("\n"), dtype=np.uint8)
+    for start in range(0, len(bits), _WRITE_ROWS):
+        chunk = bits[start : start + _WRITE_ROWS].astype("<u8", copy=False)
+        signs = np.unpackbits(chunk.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+        rows = lines[: len(chunk)]
+        np.take(_SIGN_BYTES, signs[:, :m], out=rows[:, :m])
+        fh.write(rows)
+    return len(bits)

@@ -137,11 +137,10 @@ def cmd_count(args) -> int:
         )
 
     if args.out:
-        count = 0
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for pattern in consistent_patterns(poly, primitive_only=args.primitive_only):
-                fh.write(f"{pattern}\n")
-                count += 1
+        from . import _enumeration
+
+        with open(args.out, "wb") as fh:
+            count = _enumeration.write_consistent(args.n, args.primitive_only, fh)
     else:
         progress = None
         if args.n >= 9:
@@ -222,24 +221,23 @@ def _verify_suites(n: int, seed: int):
         by_ordering[sign_of_ordering(poly, word).bits] = word
     yield "bijection", set(by_ordering) == consistent_bits
 
+    # each route is checked on every pattern against the bijection's ordering
     solver_ok = True
     matrix_ok = True
     for bits in sorted(consistent_bits):
         pattern = SignPattern(n, bits)
+        want = by_ordering.get(bits)
         try:
             word, _ = solve(poly, pattern)
         except (InconsistentPatternError, IterationLimitError):
             word = None
-        if word is None or sign_of_ordering(poly, word).bits != bits:
-            solver_ok = False
-            break
+        solver_ok &= word is not None and word == want
         if n <= 7:
             try:
                 other = ordering_from_sign_matrix(poly, reconstruct_sign_matrix(poly, pattern))
             except IntransitiveOrderError:
                 other = None
-            if other != word:
-                matrix_ok = False
+            matrix_ok &= other is not None and other == want
     yield "solver", solver_ok
     if n <= 7:
         yield "reconstruction", matrix_ok

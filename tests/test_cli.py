@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,12 +11,21 @@ import pytest
 
 import usigns
 from usigns.cli import main
+from usigns.ngon import Polygon
+from usigns.relations import consistent_patterns
 from usigns.solver import (
     InconsistentPatternError,
     IntransitiveOrderError,
     IterationLimitError,
     SolverTrace,
 )
+
+
+def _package_env() -> dict:
+    """The environment of a child Python that imports this package."""
+    src = str(Path(usigns.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def run(capsys, *argv):
@@ -157,18 +167,78 @@ def test_count_out_unwritable_exit_3(target, tmp_path, capsys):
 
 def test_count_out_unwritable_process_exit_3(tmp_path):
     # the exit status and stderr of a real process, not main()'s return value
-    src = str(Path(usigns.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = str(tmp_path / "missing" / "f.txt")
     proc = subprocess.run(
         [sys.executable, "-m", "usigns.cli", "count", "6", "--out", out],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_package_env(),
         timeout=60,
     )
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("usigns: error:") and "Traceback" not in proc.stderr
+
+
+def test_cli_without_enumeration_loads_no_numpy():
+    # numpy is imported by the enumeration alone
+    script = (
+        "import contextlib, io, sys\n"
+        "from usigns.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['solve', '5', '--pattern', '-++++'])\n"
+        "    main(['sign-of', '5', '--ordering', '1,4,2,5,3'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_package_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_count_out_full_disk_exit_3(capsys):
+    # the file opens, and the write or the flush at close fails
+    code, out, err = run(capsys, "count", "6", "--out", "/dev/full")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("usigns: error:")
+
+
+@pytest.mark.parametrize(
+    "n, primitive_only",
+    [(n, False) for n in range(4, 10)] + [(n, True) for n in range(4, 9)],
+)
+def test_count_out_matches_sign_pattern_str(n, primitive_only, tmp_path, capsys):
+    # the file is formatted in numpy; str(SignPattern) is the reference
+    path = tmp_path / "patterns.txt"
+    argv = ["count", str(n), "--out", str(path)] + ["--primitive-only"] * primitive_only
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    patterns = consistent_patterns(Polygon(n), primitive_only=primitive_only)
+    assert path.read_bytes() == "".join(f"{p}\n" for p in patterns).encode()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["8"], "14bd2d3d523d0efd471848ed77ef5b794f07a4f106b7bb10896554392f05ce35"),
+        (
+            ["8", "--primitive-only"],
+            "e41db5a2f74e38d13d42670dce27cdce464952acfbb5f27cdb023d1afb1bdd14",
+        ),
+        # 20 160 patterns: five write slices, the last one partial
+        (["9"], "2dd624e8865f183459481f0168cf4397852d860012da7e7bb442e7c34cfe7e21"),
+    ],
+    ids=["8", "8-primitive", "9"],
+)
+def test_count_out_pinned_digest(argv, digest, tmp_path, capsys):
+    path = tmp_path / "patterns.txt"
+    code, _, _ = run(capsys, "count", *argv, "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_solve_text(capsys):
@@ -267,10 +337,21 @@ def test_verify_solver_raising_fails_its_suite(error, capsys, monkeypatch):
     def raising(poly, pattern):
         raise error
 
+    matrix_calls = []
+    original = usigns.cli.ordering_from_sign_matrix
+
+    def counting(poly, matrix):
+        matrix_calls.append(matrix)
+        return original(poly, matrix)
+
     monkeypatch.setattr("usigns.cli.solve", raising)
+    monkeypatch.setattr("usigns.cli.ordering_from_sign_matrix", counting)
     code, out, err = run(capsys, "verify", "5")
     assert code == 1 and err == ""
     assert "solver: FAIL" in out and "count: pass" in out
+    # the matrix route is still checked on every consistent pattern
+    assert "reconstruction: pass" in out
+    assert len(matrix_calls) == 12
 
 
 def test_verify_matrix_route_raising_fails_its_suite(capsys, monkeypatch):
