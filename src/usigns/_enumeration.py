@@ -123,8 +123,21 @@ def count(n: int, primitive_only: bool, progress=None) -> int:
 
 
 def _sorted_bits(n: int, primitive_only: bool) -> np.ndarray:
-    """Every consistent n-gon pattern as one uint64 array, in increasing order."""
-    bits = np.concatenate(list(_blocks(n, primitive_only)))
+    """Every consistent n-gon pattern as one uint64 array, in increasing order.
+
+    Each block is copied into one array as it arrives; the array grows in
+    place by a quarter when full and is trimmed at the end, so the patterns
+    are held once rather than as blocks beside their concatenation.
+    """
+    bits = np.empty(0, dtype=np.uint64)
+    size = 0
+    for block in _blocks(n, primitive_only):
+        end = size + len(block)
+        if end > len(bits):
+            bits.resize(max(end, len(bits) * 5 // 4), refcheck=False)
+        bits[size:end] = block
+        size = end
+    bits.resize(size, refcheck=False)
     bits.sort()
     return bits
 

@@ -31,6 +31,7 @@ from .solver import (
     IntransitiveOrderError,
     IterationLimitError,
     SolverTrace,
+    default_iteration_bound,
     ordering_from_sign_matrix,
     reconstruct_sign_matrix,
     solve,
@@ -186,7 +187,12 @@ def cmd_solve(args) -> int:
         return EXIT_INCONSISTENT
     if args.json:
         doc = _pattern_document(
-            poly, pattern, ordering=list(word), trace=_trace_json(trace)
+            poly,
+            pattern,
+            ordering=list(word),
+            iterations=trace.iterations,
+            iteration_bound=default_iteration_bound(poly.n),
+            trace=_trace_json(trace),
         )
         print(json.dumps(doc))
     else:

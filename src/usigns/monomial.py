@@ -2,9 +2,18 @@
 
 A chart is "the n-gon with positions 1..n"; a map sends each chord of its
 source chart to a signed monomial in the chords of its target chart. The
-formulas are purely positional; the source/target ordering words are carried
-as labels, so that composition can refuse mismatched charts and inversion can
-walk from the target chart back to the source chart.
+source/target ordering words are carried as labels, so that composition can
+refuse mismatched charts and inversion can name the chart change from the
+target back to the source.
+
+Every chart change is read off in closed form (Brown 2009, section 2): the
+product of the target-chart u's over a rectangle of chords, x in [a, b) and
+y in [c, d), telescopes to the cross-ratio d_ad*d_bc/(d_ac*d_bd) of the
+points at those positions. Each source-chart u is a cross-ratio of four
+points, and so is plus or minus a ratio of two such rectangles, which are
+disjoint and sum to 1 by an extended u-relation. Every image exponent is -1,
+0 or 1; since the u's are multiplicatively independent, the image is the
+only monomial with that value.
 
 Direction convention: a map is a ring map, source-chart variables expressed
 in target-chart variables. ``map_for_ordering(word)`` goes from the chart of
@@ -18,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import repeat
+from typing import Mapping, Sequence
 
 from .ngon import Chord, Polygon, _check_permutation
 
@@ -110,51 +119,69 @@ def identity_map(poly: Polygon, word: Sequence[int] | None = None) -> MonomialMa
     return MonomialMap(poly.n, word, word, images)
 
 
-def _elementary_images(poly: Polygon, k: int) -> tuple[SignedMonomial, ...]:
-    """Images of the adjacent-swap-at-position-k chart change.
+def _chart_change(poly: Polygon, source: Sequence[int], target: Sequence[int]) -> MonomialMap:
+    """The chart change from the chart of ``source`` to the chart of ``target``.
 
-    Five positional cases, indices mod n: chords away from k-1, k, k+1 are
-    fixed; a chord into k-1 (resp. k+1) picks up the parallel chord into k;
-    a chord into k inverts; and the short chord spanning k flips sign and
-    divides by every chord into k.
+    For source chord (i, j), let A, B, C, E be the target positions of the
+    labels at source positions i, i+1, j, j+1 (mod n), and d_xy the
+    difference of the points at target positions x and y. The chord's u is
+    d_AE*d_BC / (d_AC*d_BE). Sort A, B, C, E to p < q < r < s; numerator and
+    denominator are each one of the pairings X = d_pq*d_rs, Y = d_pr*d_qs and
+    Z = d_ps*d_qr, up to sign. Two rectangles of target chords telescope:
+    R1, over x in [p, q) and y in [r, s), is Z/Y, and R2, over x in [q, r)
+    and y from s round past n to p - 1, is X/Y. So the image is R1 to the
+    power [numerator is Z] - [denominator is Z] times R2 to the power
+    [numerator is X] - [denominator is X], and its sign is the parity of
+    (A > E) + (B > C) + (A > C) + (B > E), the d's written against their
+    sorted order.
     """
+    source, target = _check_permutation(source), _check_permutation(target)
     n = poly.n
-    km1, kp1 = poly.wrap(k - 1), poly.wrap(k + 1)
-    special = poly.chord(km1, kp1)
+    if len(source) != n or len(target) != n:
+        raise ValueError(f"words {source}, {target} do not both have length n={n}")
+    position = [0] * (n + 1)
+    for p, label in enumerate(target, 1):
+        position[label] = p
+    at = [position[label] for label in source]
+    chords, index = poly.chords, poly.pair_index
     images = []
-    for c in poly.chords:
-        i, j = c
-        if c == special:
-            exps: dict[Chord, int] = {special: 1}
-            for v in range(1, n + 1):
-                if v not in (km1, k, kp1):
-                    exps[poly.chord(v, k)] = -1
-            images.append(SignedMonomial.make(-1, exps))
-        elif k in c:
-            other = j if i == k else i
-            images.append(SignedMonomial.make(1, {poly.chord(other, k): -1}))
-        elif km1 in c:
-            other = j if i == km1 else i
-            images.append(
-                SignedMonomial.make(1, {poly.chord(other, km1): 1, poly.chord(other, k): 1})
-            )
-        elif kp1 in c:
-            other = j if i == kp1 else i
-            images.append(
-                SignedMonomial.make(1, {poly.chord(other, k): 1, poly.chord(other, kp1): 1})
-            )
+    for i, j in chords:
+        a, b, c, e = at[i - 1], at[i % n], at[j - 1], at[j % n]
+        p, q, r, s = sorted((a, b, c, e))
+        # p's partner names each pairing: q in X, r in Y, s in Z
+        if p == a:
+            num, den = e, c
+        elif p == b:
+            num, den = c, e
+        elif p == c:
+            num, den = b, a
         else:
-            images.append(SignedMonomial.make(1, {c: 1}))
-    return tuple(images)
+            num, den = a, b
+        e1, e2 = (num == s) - (den == s), (num == q) - (den == q)
+        # emitted in chord order: R2 below p, then R1, then R2 from q up
+        powers: list[tuple[Chord, int]] = []
+        if e2:
+            for y in range(1, p):
+                k = index[y][q]
+                powers.extend(zip(chords[k:k + r - q], repeat(e2)))
+        if e1:
+            for x in range(p, q):
+                k = index[x][r]
+                powers.extend(zip(chords[k:k + s - r], repeat(e1)))
+        if e2:
+            for x in range(q, r):
+                k = index[x][s]
+                powers.extend(zip(chords[k:k + n + 1 - s], repeat(e2)))
+        sign = -1 if ((a > e) + (b > c) + (a > c) + (b > e)) & 1 else 1
+        images.append(SignedMonomial(sign, tuple(powers)))
+    return MonomialMap(n, source, target, tuple(images))
 
 
-def _swap_positions(word: Word, k: int, n: int) -> Word:
-    """Swap the entries at positions k and k+1 (mod n), 1-indexed."""
-    a = k - 1
-    b = k % n
-    out = list(word)
-    out[a], out[b] = out[b], out[a]
-    return tuple(out)
+def _transposed(poly: Polygon, p: int, q: int) -> Word:
+    """The identity word with the entries at positions p and q swapped."""
+    word = list(poly.identity_word)
+    word[p - 1], word[q - 1] = word[q - 1], word[p - 1]
+    return tuple(word)
 
 
 def elementary_map(poly: Polygon, k: int) -> MonomialMap:
@@ -165,8 +192,7 @@ def elementary_map(poly: Polygon, k: int) -> MonomialMap:
     """
     if not 1 <= k <= poly.n:
         raise ValueError(f"position k must be in 1..{poly.n}, got {k}")
-    source = _swap_positions(poly.identity_word, k, poly.n)
-    return MonomialMap(poly.n, source, poly.identity_word, _elementary_images(poly, k))
+    return _chart_change(poly, _transposed(poly, k, k % poly.n + 1), poly.identity_word)
 
 
 def compose(outer: MonomialMap, inner: MonomialMap) -> MonomialMap:
@@ -194,143 +220,35 @@ def compose(outer: MonomialMap, inner: MonomialMap) -> MonomialMap:
     return MonomialMap(outer.n, inner.source, outer.target, tuple(images))
 
 
-@lru_cache(maxsize=None)
-def _elementary_delta(n: int, k: int) -> tuple[int, tuple[tuple[int, tuple], ...]]:
-    """The adjacent-swap-at-position-k step as a sparse update of exponent rows.
-
-    Returns the index of the step's special chord (the one image with sign
-    -1) and, for each chord d the step does not fix, ``(d, moves)`` with
-    ``moves`` the (chord index, exponent) pairs of d's image minus d itself:
-    a row with exponent e on d gains e times ``moves``.
-    """
-    poly = Polygon(n)
-    index = poly.chord_index
-    special = -1
-    delta = []
-    for d, mono in enumerate(_elementary_images(poly, k)):
-        if mono.sign < 0:
-            special = d
-        moves = {index[f]: a for f, a in mono.powers}
-        moves[d] = moves.get(d, 0) - 1
-        if any(moves.values()):
-            delta.append((d, tuple((f, a) for f, a in moves.items() if a)))
-    return special, tuple(delta)
-
-
-def _fold(poly: Polygon, source: Word, ks: Iterable[int]) -> MonomialMap:
-    """Compose the elementary steps that walk chart ``source`` through the
-    adjacent position swaps ``ks``; the map ends at the chart reached.
-
-    Each source chord keeps a dense integer exponent row over the current
-    chart's chord indices and a sign; a step substitutes its images into the
-    few chords it does not fix, and flips the sign when the row's exponent on
-    its special chord is odd.
-    """
-    n, count = poly.n, poly.chord_count
-    rows = [[0] * count for _ in range(count)]
-    for i, row in enumerate(rows):
-        row[i] = 1
-    signs = [1] * count
-    target = source
-    for k in ks:
-        special, delta = _elementary_delta(n, k)
-        for i, row in enumerate(rows):
-            if row[special] & 1:
-                signs[i] = -signs[i]
-            # every exponent is read before any is updated
-            for e, moves in [(row[d], moves) for d, moves in delta if row[d]]:
-                for f, a in moves:
-                    row[f] += e * a
-        target = _swap_positions(target, k, n)
-    chords = poly.chords
-    # tuple() of a list, not of a generator: a tuple built from a generator
-    # is grown by reallocation, which scattered freed blocks over the
-    # allocator's arenas and grew the peak RSS of repeated folds (about 4 MB
-    # over a thousand n = 12 maps)
-    images = tuple([
-        SignedMonomial(sign, tuple([(chords[t], e) for t, e in enumerate(row) if e]))
-        for sign, row in zip(signs, rows)
-    ])
-    return MonomialMap(n, source, target, images)
-
-
-def _sort_positions(word: Word) -> Iterator[int]:
-    """First-descent bubble sort; yields each swapped position pair's k.
-
-    Applied to a transposition word this reproduces the palindromic
-    adjacent-swap pattern p, p+1, ..., q-1, ..., p.
-    """
-    w = list(word)
-    n = len(w)
-    while True:
-        for k in range(n - 1):
-            if w[k] > w[k + 1]:
-                w[k], w[k + 1] = w[k + 1], w[k]
-                yield k + 1
-                break
-        else:
-            return
-
-
-def _chart_change(poly: Polygon, source: Sequence[int], target: Sequence[int]) -> MonomialMap:
-    """The chart change from the chart of ``source`` to the chart of ``target``.
-
-    The formulas are positional, so relabeling ``source`` by the positions of
-    its labels in ``target`` gives a word whose sorting swaps walk ``source``
-    to ``target``.
-    """
-    source, target = _check_permutation(source), _check_permutation(target)
-    if len(source) != poly.n or len(target) != poly.n:
-        raise ValueError(f"words {source}, {target} do not both have length n={poly.n}")
-    position = {label: p for p, label in enumerate(target, 1)}
-    return _fold(poly, source, _sort_positions(tuple(position[v] for v in source)))
-
-
 def map_for_ordering(poly: Polygon, word: Sequence[int]) -> MonomialMap:
-    """The chart change from the chart of ``word`` to the standard chart.
-
-    Built by sorting the word to the identity with adjacent position swaps
-    and composing the elementary maps along the way; any valid adjacent-swap
-    sorting yields the same map.
-    """
+    """The chart change from the chart of ``word`` to the standard chart."""
     return _chart_change(poly, word, poly.identity_word)
-
-
-def _arc_swap_sequence(n: int, p: int, q: int) -> list[int]:
-    """Adjacent-swap positions realizing the position transposition (p q),
-    walking the cyclic arc upward from p to q: p, p+1, ..., q-1, ..., p."""
-    d = (q - p) % n
-    up = [(p - 1 + t) % n + 1 for t in range(d)]
-    return up + up[-2::-1]
 
 
 def map_for_transposition(poly: Polygon, p: int, q: int) -> MonomialMap:
     """Chart change for swapping the entries at positions p and q.
 
     Source: identity word with positions p, q swapped; target: the standard
-    chart. Decomposed into the 2d-1 adjacent swaps along the arc from p up to
-    q (wrapping allowed), so (p, q) and (q, p) take different routes to the
-    same map.
+    chart. (p, q) and (q, p) name the same map.
     """
     if poly.wrap(p) == poly.wrap(q):
         raise ValueError("positions must differ")
-    p, q = poly.wrap(p), poly.wrap(q)
-    word = list(poly.identity_word)
-    word[p - 1], word[q - 1] = word[q - 1], word[p - 1]
-    return _fold(poly, tuple(word), _arc_swap_sequence(poly.n, p, q))
+    return _chart_change(poly, _transposed(poly, poly.wrap(p), poly.wrap(q)), poly.identity_word)
 
 
 def invert(m: MonomialMap) -> MonomialMap:
-    """The two-sided inverse chart change.
+    """The two-sided inverse chart change: the chart change from the map's
+    target back to its source.
 
-    Every chart change is a product of involutive elementary steps, so its
-    inverse is the chart change from its target back to its source. A map
-    whose images are not the chart change between its own source and target
-    labels (for instance one with a non-unimodular exponent matrix) raises
-    ``ValueError``.
+    A map whose images are not the chart change between its own source and
+    target labels (for instance one with a non-unimodular exponent matrix)
+    raises ``ValueError``. The u's are multiplicatively independent, so a
+    map has a two-sided inverse under ``compose`` in that reverse chart change
+    exactly when it is the chart change itself.
     """
-    inv = _chart_change(m.poly, m.target, m.source)
-    if not (compose(m, inv).is_identity() and compose(inv, m).is_identity()):
+    poly = m.poly
+    inv = _chart_change(poly, m.target, m.source)
+    if m.images != _chart_change(poly, m.source, m.target).images:
         raise ValueError("map is not the chart change between its source and target")
     return inv
 

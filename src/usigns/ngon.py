@@ -64,6 +64,17 @@ class Polygon:
         return {c: k for k, c in enumerate(self.chords)}
 
     @cached_property
+    def pair_index(self) -> tuple[tuple[int, ...], ...]:
+        """``pair_index[a][b]`` is the index of the chord {a, b} in either
+        orientation, or -1 where a and b (in 0..n) are not a chord. Along a
+        row, the chords from one vertex up to higher ones are contiguous."""
+        n, index = self.n, self.chord_index
+        return tuple(
+            tuple(index.get((min(a, b), max(a, b)), -1) for b in range(n + 1))
+            for a in range(n + 1)
+        )
+
+    @cached_property
     def lengths(self) -> tuple[int, ...]:
         """Cyclic length of every chord, aligned with ``chords``."""
         n = self.n

@@ -10,10 +10,10 @@ all-plus orthant.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .ngon import Polygon, _check_permutation
-from .monomial import MonomialMap, _arc_swap_sequence, _sort_positions, elementary_map
+from .monomial import MonomialMap, elementary_map
 from .patterns import SignPattern
 
 
@@ -56,16 +56,39 @@ def _chain(
     return tuple(out)
 
 
+def _arc_swap_sequence(n: int, p: int, q: int) -> list[int]:
+    """Adjacent-swap positions realizing the position transposition (p q),
+    walking the cyclic arc upward from p to q: p, p+1, ..., q-1, ..., p."""
+    d = (q - p) % n
+    up = [(p - 1 + t) % n + 1 for t in range(d)]
+    return up + up[-2::-1]
+
+
 @lru_cache(maxsize=None)
 def _transposition_table(n: int, p: int, q: int) -> tuple[tuple[int, int], ...]:
-    """Transport table of ``map_for_transposition(Polygon(n), p, q)``: that
-    map composes its adjacent swaps step_1 innermost, so a pattern passes
-    through step_L's elementary table first and step_1's last."""
+    """Transport table of ``map_for_transposition(Polygon(n), p, q)``, over
+    GF(2): that map is the composite of the adjacent swaps along the arc,
+    step_1 innermost, so a pattern passes through step_L's elementary table
+    first and step_1's last."""
     steps = [_elementary_table(n, k) for k in _arc_swap_sequence(n, p, q)]
     table = steps.pop()
     while steps:
         table = _chain(table, steps.pop())
     return table
+
+
+def _sort_positions(word: tuple[int, ...]) -> Iterator[int]:
+    """First-descent bubble sort; yields each swapped position pair's k."""
+    w = list(word)
+    n = len(w)
+    while True:
+        for k in range(n - 1):
+            if w[k] > w[k + 1]:
+                w[k], w[k + 1] = w[k + 1], w[k]
+                yield k + 1
+                break
+        else:
+            return
 
 
 def _fewest_inversions(word: tuple[int, ...]) -> tuple[int, ...]:

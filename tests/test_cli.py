@@ -254,6 +254,17 @@ def test_solve_all_minus(capsys):
     assert out.splitlines()[0] == "ordering: 1 3 5 2 4"  # class of 1 4 2 5 3
 
 
+def test_solve_json_reports_iterations_against_bound(capsys):
+    code, out, _ = run(capsys, "solve", "5", "--pattern", "-----", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["ordering"] == [1, 3, 5, 2, 4]
+    assert doc["iterations"] == len(doc["trace"]) > 0
+    assert doc["iteration_bound"] == 4 * 5**3
+    code, out, _ = run(capsys, "solve", "6", "--pattern", "+" * 9, "--json")
+    doc = json.loads(out)
+    assert (doc["iterations"], doc["trace"], doc["iteration_bound"]) == (0, [], 4 * 6**3)
+
+
 def test_solve_inconsistent_exit_2(capsys):
     code, out, err = run(capsys, "solve", "6", "--pattern", "--+-+--++")
     assert code == 2

@@ -258,16 +258,61 @@ def test_render_golden():
     )
 
 
+def reference_elementary_images(poly, k):
+    """Images of the adjacent-swap-at-position-k chart change, case by case.
+
+    Five positional cases, indices mod n: chords away from k-1, k, k+1 are
+    fixed; a chord into k-1 (resp. k+1) picks up the parallel chord into k;
+    a chord into k inverts; and the short chord spanning k flips sign and
+    divides by every chord into k.
+    """
+    n = poly.n
+    km1, kp1 = poly.wrap(k - 1), poly.wrap(k + 1)
+    special = poly.chord(km1, kp1)
+    images = []
+    for c in poly.chords:
+        i, j = c
+        if c == special:
+            exps = {special: 1}
+            for v in range(1, n + 1):
+                if v not in (km1, k, kp1):
+                    exps[poly.chord(v, k)] = -1
+            images.append(SignedMonomial.make(-1, exps))
+        elif k in c:
+            other = j if i == k else i
+            images.append(u(1, (poly.chord(other, k), -1)))
+        elif km1 in c:
+            other = j if i == km1 else i
+            images.append(u(1, (poly.chord(other, km1), 1), (poly.chord(other, k), 1)))
+        elif kp1 in c:
+            other = j if i == kp1 else i
+            images.append(u(1, (poly.chord(other, k), 1), (poly.chord(other, kp1), 1)))
+        else:
+            images.append(u(1, (c, 1)))
+    return tuple(images)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_elementary_map_matches_five_case_formula(n):
+    poly = Polygon(n)
+    for k in range(1, n + 1):
+        m = elementary_map(poly, k)
+        swapped = list(poly.identity_word)
+        swapped[k - 1], swapped[k % n] = swapped[k % n], swapped[k - 1]
+        assert (m.source, m.target) == (tuple(swapped), poly.identity_word)
+        assert m.images == reference_elementary_images(poly, k)
+
+
 def reference_fold(poly, source, ks):
     """Chart change along the adjacent position swaps ``ks``, composed one
-    public elementary map at a time."""
+    case-by-case elementary map at a time."""
     n = poly.n
     total = identity_map(poly, source)
     chart = tuple(source)
     for k in ks:
         swapped = list(chart)
         swapped[k - 1], swapped[k % n] = swapped[k % n], swapped[k - 1]
-        step = MonomialMap(n, chart, tuple(swapped), elementary_map(poly, k).images)
+        step = MonomialMap(n, chart, tuple(swapped), reference_elementary_images(poly, k))
         total = compose(step, total)
         chart = tuple(swapped)
     return total
@@ -313,6 +358,30 @@ def test_fold_matches_public_compose_reference(n):
         ref = reference_fold(poly, tuple(word), up + up[-2::-1])
         assert ref.target == poly.identity_word
         assert map_for_transposition(poly, p, q).render() == ref.render()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_chart_change_matches_reference_on_every_word(n):
+    poly = Polygon(n)
+    ident = poly.identity_word
+    for word in itertools.permutations(ident):
+        to_standard = map_for_ordering(poly, word)
+        from_standard = invert(to_standard)
+        for m, (source, target) in ((to_standard, (word, ident)), (from_standard, (ident, word))):
+            ref = reference_chart_change(poly, source, target)
+            assert (m.source, m.target, m.images) == (ref.source, ref.target, ref.images)
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_map_for_ordering_matches_oracle_at_large_n(n):
+    # no fold at this size: the relabeled configuration is the reference
+    poly = Polygon(n)
+    rng = random.Random(4242 + n)
+    base = realize(poly, tuple(rng.sample(range(1, n + 1), n)))
+    vals = u_values(base)
+    for _ in range(2):
+        word = tuple(rng.sample(range(1, n + 1), n))
+        assert evaluate(map_for_ordering(poly, word), vals) == u_values(base.permuted(word))
 
 
 def test_evaluate_negative_rationals_and_ints():

@@ -22,10 +22,10 @@ from usigns import (
     signs_from_points,
     transport,
 )
-from usigns.monomial import _sort_positions
 from usigns.signs import (
     _elementary_table,
     _fewest_inversions,
+    _sort_positions,
     _transport_bits,
     _transposition_table,
 )
