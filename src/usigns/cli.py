@@ -2,15 +2,13 @@
 
 Exit codes: 0 success, 1 verification failure, 2 inconsistent input pattern,
 3 usage error or an output file that cannot be opened or written. All output
-is deterministic for fixed flags; the only randomness (sampled oracle checks
-at n=8) is seeded.
+is deterministic for fixed flags; nothing is sampled at random.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import random
 import sys
 
 from .ngon import Polygon, all_orderings, canonicalize, ordering_count
@@ -214,7 +212,7 @@ def cmd_sign_of(args) -> int:
     return EXIT_OK
 
 
-def _verify_suites(n: int, seed: int):
+def _verify_suites(n: int):
     """Yield (suite name, passed) pairs for cmd_verify."""
     poly = Polygon(n)
 
@@ -238,24 +236,17 @@ def _verify_suites(n: int, seed: int):
         except (InconsistentPatternError, IterationLimitError):
             word = None
         solver_ok &= word is not None and word == want
-        if n <= 7:
-            try:
-                other = ordering_from_sign_matrix(poly, reconstruct_sign_matrix(poly, pattern))
-            except IntransitiveOrderError:
-                other = None
-            matrix_ok &= other is not None and other == want
+        try:
+            other = ordering_from_sign_matrix(poly, reconstruct_sign_matrix(poly, pattern))
+        except IntransitiveOrderError:
+            other = None
+        matrix_ok &= other is not None and other == want
     yield "solver", solver_ok
-    if n <= 7:
-        yield "reconstruction", matrix_ok
+    yield "reconstruction", matrix_ok
 
-    if n <= 7:
-        sample = list(all_orderings(poly))
-    else:
-        rng = random.Random(seed)
-        pool = list(all_orderings(poly))
-        sample = rng.sample(pool, min(500, len(pool)))
     oracle_ok = all(
-        signs_from_points(realize(poly, w)) == sign_of_ordering(poly, w) for w in sample
+        signs_from_points(realize(poly, w)) == sign_of_ordering(poly, w)
+        for w in all_orderings(poly)
     )
     yield "oracle", oracle_ok
 
@@ -263,7 +254,7 @@ def _verify_suites(n: int, seed: int):
 def cmd_verify(args) -> int:
     if not 4 <= args.n <= 8:
         raise ValueError(f"verify supports n in 4..8, got {args.n}")
-    results = dict(_verify_suites(args.n, args.seed))
+    results = dict(_verify_suites(args.n))
     ok = all(results.values())
     if args.json:
         print(json.dumps({"n": args.n, "suites": results, "ok": ok}))
@@ -355,7 +346,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the full consistency/solver/oracle check")
     p.add_argument("n", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .ngon import Chord, Polygon, _check_permutation
 
@@ -106,9 +106,9 @@ class MonomialMap:
     def transport_table(self) -> tuple[tuple[int, int], ...]:
         """(negative-bit, odd-exponent mask) per source chord, for fast sign
         transport through this map."""
-        poly = self.poly
+        index = self.poly.chord_index
         return tuple(
-            (1 if mono.sign < 0 else 0, poly.mask(c for c, e in mono.powers if e & 1))
+            (1 if mono.sign < 0 else 0, sum(1 << index[c] for c, e in mono.powers if e & 1))
             for mono in self.images
         )
 
@@ -117,6 +117,26 @@ def identity_map(poly: Polygon, word: Sequence[int] | None = None) -> MonomialMa
     word = poly.identity_word if word is None else _check_permutation(word)
     images = tuple(SignedMonomial.make(1, {c: 1}) for c in poly.chords)
     return MonomialMap(poly.n, word, word, images)
+
+
+def _corners(
+    poly: Polygon, source: Sequence[int], target: Sequence[int]
+) -> Iterator[tuple[int, int, int, int]]:
+    """Per source chord (i, j), in chord order: the target positions A, B, C,
+    E of the labels at source positions i, i+1, j, j+1 (mod n)."""
+    n = poly.n
+    position = [0] * (n + 1)
+    for p, label in enumerate(target, 1):
+        position[label] = p
+    at = [position[label] for label in source]
+    for i, j in poly.chords:
+        yield at[i - 1], at[i % n], at[j - 1], at[j % n]
+
+
+def _odd(a: int, b: int, c: int, e: int) -> int:
+    """1 if the image of the chord with corners A, B, C, E is negative (see
+    ``_chart_change``), else 0."""
+    return ((a > e) + (b > c) + (a > c) + (b > e)) & 1
 
 
 def _chart_change(poly: Polygon, source: Sequence[int], target: Sequence[int]) -> MonomialMap:
@@ -131,22 +151,17 @@ def _chart_change(poly: Polygon, source: Sequence[int], target: Sequence[int]) -
     R1, over x in [p, q) and y in [r, s), is Z/Y, and R2, over x in [q, r)
     and y from s round past n to p - 1, is X/Y. So the image is R1 to the
     power [numerator is Z] - [denominator is Z] times R2 to the power
-    [numerator is X] - [denominator is X], and its sign is the parity of
-    (A > E) + (B > C) + (A > C) + (B > E), the d's written against their
-    sorted order.
+    [numerator is X] - [denominator is X], and its sign is ``_odd``: the
+    parity of (A > E) + (B > C) + (A > C) + (B > E), the d's written against
+    their sorted order.
     """
     source, target = _check_permutation(source), _check_permutation(target)
     n = poly.n
     if len(source) != n or len(target) != n:
         raise ValueError(f"words {source}, {target} do not both have length n={n}")
-    position = [0] * (n + 1)
-    for p, label in enumerate(target, 1):
-        position[label] = p
-    at = [position[label] for label in source]
     chords, index = poly.chords, poly.pair_index
     images = []
-    for i, j in chords:
-        a, b, c, e = at[i - 1], at[i % n], at[j - 1], at[j % n]
+    for a, b, c, e in _corners(poly, source, target):
         p, q, r, s = sorted((a, b, c, e))
         # p's partner names each pairing: q in X, r in Y, s in Z
         if p == a:
@@ -172,8 +187,7 @@ def _chart_change(poly: Polygon, source: Sequence[int], target: Sequence[int]) -
             for x in range(q, r):
                 k = index[x][s]
                 powers.extend(zip(chords[k:k + n + 1 - s], repeat(e2)))
-        sign = -1 if ((a > e) + (b > c) + (a > c) + (b > e)) & 1 else 1
-        images.append(SignedMonomial(sign, tuple(powers)))
+        images.append(SignedMonomial(-1 if _odd(a, b, c, e) else 1, tuple(powers)))
     return MonomialMap(n, source, target, tuple(images))
 
 

@@ -109,9 +109,6 @@ class Polygon:
             raise ValueError(f"({a},{b}) is not a chord of the {self.n}-gon")
         return (a, b)
 
-    def is_chord(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.chord_index
-
     def chord_length(self, c: Chord) -> int:
         """Cyclic distance between the endpoints, in 2..n//2."""
         return self.lengths[self.chord_index[self.chord(*c)]]

@@ -48,11 +48,6 @@ class SignPattern:
         return cls(n, int(s[::-1].translate(_FROM_SIGNS), 2))
 
     @classmethod
-    def from_signs(cls, n: int, signs: Iterable[int]) -> "SignPattern":
-        """Build from an iterable of +1/-1 in canonical chord order."""
-        return cls.from_string(n, "".join("+" if s > 0 else "-" for s in signs))
-
-    @classmethod
     def from_negative_chords(cls, n: int, negatives: Iterable[Chord]) -> "SignPattern":
         return cls(n, Polygon(n).mask(negatives))
 

@@ -8,10 +8,9 @@ point appears anywhere on a sign-bearing path.
 
 A configuration computes its pairwise determinants once, on construction, as
 Python ints: each point is scaled to primitive integer coordinates, a finite
-value p/q to (q, p) and infinity to (0, 1). Plucker coordinates divide a
-determinant by the two scales; a cross-ratio or dihedral coordinate takes
-each of its points once above and once below the fraction bar, so there the
-scales cancel and its sign is read off two integer products.
+value p/q to (q, p) and infinity to (0, 1). A cross-ratio or dihedral
+coordinate takes each of its points once above and once below the fraction
+bar, so the scales cancel and its sign is read off two integer products.
 """
 from __future__ import annotations
 
@@ -139,12 +138,6 @@ class PointConfig:
 
     def point(self, label: int) -> ProjectivePoint:
         return self.points[label - 1]
-
-    def plucker(self, a: int, b: int) -> Fraction:
-        """Determinant of the columns of labels a, b."""
-        # a point's table coordinates are its canonical ones times y.denominator
-        scale = self.point(a).y.denominator * self.point(b).y.denominator
-        return Fraction(self._dets[a - 1][b - 1], scale)
 
     def permuted(self, word: Sequence[int]) -> "PointConfig":
         """Config whose k-th point is the point labeled word[k]."""

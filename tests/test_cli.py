@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import usigns
 from usigns.cli import main
 from usigns.ngon import Polygon
+from usigns.points import realize, signs_from_points
 from usigns.relations import consistent_patterns
 from usigns.solver import (
     InconsistentPatternError,
@@ -311,6 +313,13 @@ def test_sign_of_reversed_200(capsys):
     assert out == "+" * (200 * 197 // 2) + "\n"
 
 
+def test_sign_of_random_200(capsys):
+    word = random.Random(200).sample(range(1, 201), 200)
+    code, out, err = run(capsys, "sign-of", "200", "--ordering", ",".join(map(str, word)))
+    assert code == 0 and err == ""
+    assert out == f"{signs_from_points(realize(Polygon(200), word))}\n"
+
+
 def test_sign_of_malformed(capsys):
     code, _, err = run(capsys, "sign-of", "5", "--ordering", "1,2,3")
     assert code == 3
@@ -329,9 +338,12 @@ def test_verify_passes(n, capsys):
 
 
 def test_verify_n8_sampled_oracle(capsys):
-    code, out, _ = run(capsys, "verify", "8", "--seed", "7")
+    # every suite runs on every input at n = 8 too
+    code, out, _ = run(capsys, "verify", "8")
     assert code == 0
-    assert "FAIL" not in out
+    assert out == (
+        "count: pass\nbijection: pass\nsolver: pass\nreconstruction: pass\noracle: pass\n"
+    )
 
 
 def test_verify_json(capsys):
@@ -384,6 +396,13 @@ def test_verify_has_no_threads_flag(capsys):
     # verify is single-threaded; the flag used to be accepted and ignored
     with pytest.raises(SystemExit) as exc:
         main(["verify", "5", "--threads", "2"])
+    assert exc.value.code == 3
+
+
+def test_verify_has_no_seed_flag(capsys):
+    # nothing is sampled, so there is no seed to set
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "5", "--seed", "1"])
     assert exc.value.code == 3
 
 

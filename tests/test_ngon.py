@@ -79,9 +79,9 @@ def test_chord_rejects_labels_outside_polygon():
         poly.chord(0, 3)
     with pytest.raises(ValueError):
         poly.chord(7, 9)
-    assert not poly.is_chord(7, 9)
-    assert not poly.is_chord(0, 3)
-    assert poly.is_chord(1, 3) and poly.chord(3, 6) == (3, 6)
+    assert (7, 9) not in poly.chord_index
+    assert (0, 3) not in poly.chord_index
+    assert (1, 3) in poly.chord_index and poly.chord(3, 6) == (3, 6)
     with pytest.raises(ValueError):
         poly.chord_length((7, 9))
     with pytest.raises(ValueError):

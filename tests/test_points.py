@@ -94,11 +94,6 @@ def test_oracle_matches_fraction_reference(n):
         configs += [config, config.permuted(rng.sample(range(1, n + 1), n))]
     configs.append(realize(poly, rng.sample(range(1, n + 1), n)))
     for config in configs:
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                value = config.plucker(a, b)
-                assert type(value) is Fraction
-                assert value == reference_plucker(config, a, b)
         for _ in range(30):
             quad = rng.sample(range(1, n + 1), 4)
             value = cross_ratio(config, *quad)
@@ -109,8 +104,8 @@ def test_oracle_matches_fraction_reference(n):
         assert list(vals) == list(reference) == list(poly.chords)
         assert vals == reference
         assert all(type(v) is Fraction for v in vals.values())
-        assert signs_from_points(config) == SignPattern.from_signs(
-            n, (1 if reference[c] > 0 else -1 for c in poly.chords)
+        assert signs_from_points(config) == SignPattern.from_string(
+            n, "".join("+" if reference[c] > 0 else "-" for c in poly.chords)
         )
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -22,15 +23,68 @@ from usigns import (
     signs_from_points,
     transport,
 )
-from usigns.signs import (
-    _elementary_table,
-    _fewest_inversions,
-    _sort_positions,
-    _transport_bits,
-    _transposition_table,
-)
+from usigns.signs import _transport_bits, _transposition_table
 
 from conftest import PENTAGON_TABLE, consistent_bits, rotate_pattern
+
+
+@functools.lru_cache(maxsize=None)
+def elementary_tables(n):
+    """Transport tables of the n adjacent-swap chart changes; k at index k - 1."""
+    poly = Polygon(n)
+    return tuple(elementary_map(poly, k).transport_table() for k in range(1, n + 1))
+
+
+def sort_positions(word):
+    """First-descent bubble sort; yields each swapped position pair's k."""
+    w = list(word)
+    while True:
+        for k in range(len(w) - 1):
+            if w[k] > w[k + 1]:
+                w[k], w[k + 1] = w[k + 1], w[k]
+                yield k + 1
+                break
+        else:
+            return
+
+
+def reference_sign_of_ordering(poly, word):
+    """All-plus pushed forward through the word's sorting sequence one
+    adjacent swap at a time (elementary chart changes are involutive)."""
+    tables = elementary_tables(poly.n)
+    bits = 0
+    for k in sort_positions(word):
+        bits = _transport_bits(bits, tables[k - 1])
+    return SignPattern(poly.n, bits)
+
+
+def chain(first, then):
+    """Table of transport through ``first`` followed by ``then``.
+
+    Transport is affine over GF(2): row r of the chain XORs the ``first``
+    rows that ``then``'s mask_r selects, and the parity of their constants.
+    """
+    shift = _transport_bits(0, first)
+    out = []
+    for neg, mask in then:
+        row = 0
+        for k, (_, first_mask) in enumerate(first):
+            if mask >> k & 1:
+                row ^= first_mask
+        out.append((neg ^ ((mask & shift).bit_count() & 1), row))
+    return tuple(out)
+
+
+def reference_transposition_table(n, p, q):
+    """The swap of positions p and q as adjacent swaps along the cyclic arc
+    upward from p to q (p, p+1, ..., q-1, ..., p), step 1 innermost, so a
+    pattern passes through the last step's table first."""
+    up = [(p - 1 + t) % n + 1 for t in range((q - p) % n)]
+    steps = [elementary_tables(n)[k - 1] for k in up + up[-2::-1]]
+    table = steps.pop()
+    while steps:
+        table = chain(table, steps.pop())
+    return table
 
 
 def test_transport_identity():
@@ -83,21 +137,24 @@ def test_sign_of_ordering_class_invariant():
             assert sign_of_ordering(poly, other) == base
 
 
-def test_fewest_inversions_representative():
-    def inversions(w):
-        return sum(1 for a, b in itertools.combinations(w, 2) if a > b)
-
-    rng = random.Random(31)
-    for n in range(3, 10):
-        for _ in range(40):
-            word = tuple(rng.sample(range(1, n + 1), n))
-            best = _fewest_inversions(word)
-            members = dihedral_class(word)
-            assert best in members
-            assert inversions(best) == min(inversions(w) for w in members)
+@pytest.mark.parametrize("n", range(4, 9))
+def test_sign_of_ordering_matches_adjacent_swap_push(n):
+    # every word, not only canonical ones
+    poly = Polygon(n)
+    for word in itertools.permutations(poly.identity_word):
+        assert sign_of_ordering(poly, word) == reference_sign_of_ordering(poly, word)
 
 
-@pytest.mark.parametrize("n", [8, 10, 12])
+def test_sign_of_ordering_class_invariant_n30():
+    poly = Polygon(30)
+    word = tuple(random.Random(30).sample(range(1, 31), 30))
+    members = dihedral_class(word)
+    assert len(members) == 60
+    base = sign_of_ordering(poly, word)
+    assert all(sign_of_ordering(poly, other) == base for other in members)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12, 30, 100, 200])
 def test_sign_of_ordering_oracle_agreement_any_representative(n):
     # words drawn from every rotation and reflection, not only canonical ones
     poly = Polygon(n)
@@ -153,18 +210,16 @@ def test_transport_functorial_stepwise():
         s = SignPattern(6, rng.randrange(1 << poly.chord_count))
         full = transport(s, map_for_ordering(poly, word))
         bits = s.bits
-        for k in reversed(list(_sort_positions(word))):
-            bits = _transport_bits(bits, _elementary_table(6, k))
+        for k in reversed(list(sort_positions(word))):
+            bits = _transport_bits(bits, elementary_tables(6)[k - 1])
         assert full.bits == bits
 
 
 @pytest.mark.parametrize("n", range(4, 10))
 def test_transposition_table_matches_laurent_route(n):
-    # the GF(2)-composed table agrees with the full Laurent map's parities
-    poly = Polygon(n)
+    # the closed-form table agrees with the GF(2) chain of elementary tables
     for p, q in itertools.permutations(range(1, n + 1), 2):
-        expected = map_for_transposition(poly, p, q).transport_table()
-        assert _transposition_table(n, p, q) == expected
+        assert _transposition_table(n, p, q) == reference_transposition_table(n, p, q)
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -196,14 +251,14 @@ def test_transported_signs_after_spanning_swap(n):
                 assert t.sign(poly.chord(n, l)) == 1
                 assert t.sign(poly.chord(l - 1, n)) == 1
                 assert t.sign(poly.chord(1, l)) == 1
-                if poly.is_chord(1, l - 1):
+                if (1, l - 1) in poly.chord_index:
                     assert t.sign(poly.chord(1, l - 1)) == -1
                 for j2 in range(2, l - 1):
                     assert t.sign(poly.chord(j2, n)) == 1
                     assert t.sign(poly.chord(j2, l)) == 1
-                    if poly.is_chord(1, j2):
+                    if (1, j2) in poly.chord_index:
                         assert t.sign(poly.chord(1, j2)) == 1
-                    if poly.is_chord(j2, l - 1):
+                    if (j2, l - 1) in poly.chord_index:
                         assert t.sign(poly.chord(j2, l - 1)) == 1
                 checked += 1
     assert checked > 20
