@@ -362,25 +362,19 @@ def _extract_dash_values(argv: list[str]) -> tuple[list[str], dict[str, str]]:
     """Pull --pattern/--ordering values out of argv before argparse runs.
 
     Sign patterns like '--' or '-++-' look like flags to argparse, so these
-    two options are parsed by hand and re-attached afterwards.
+    two options are parsed by hand and re-attached afterwards, only to a
+    subcommand that defines them.
     """
     out: list[str] = []
     values: dict[str, str] = {}
     i = 0
     while i < len(argv):
-        arg = argv[i]
-        for name in ("pattern", "ordering"):
-            flag = f"--{name}"
-            if arg == flag and i + 1 < len(argv):
-                values[name] = argv[i + 1]
-                i += 2
-                break
-            if arg.startswith(flag + "="):
-                values[name] = arg[len(flag) + 1 :]
-                i += 1
-                break
+        flag, eq, value = argv[i].partition("=")
+        if flag in ("--pattern", "--ordering") and (eq or i + 1 < len(argv)):
+            values[flag[2:]] = value if eq else argv[i + 1]
+            i += 1 if eq else 2
         else:
-            out.append(arg)
+            out.append(argv[i])
             i += 1
     return out, values
 
@@ -392,6 +386,8 @@ def main(argv=None) -> int:
     argv, values = _extract_dash_values(list(argv))
     args = parser.parse_args(argv)
     for name, value in values.items():
+        if not hasattr(args, name):
+            parser.error(f"unrecognized arguments: --{name}")
         setattr(args, name, value)
     try:
         return args.func(args)

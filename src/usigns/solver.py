@@ -5,15 +5,16 @@ Two independent routes:
 * ``solve`` walks the pattern to the all-plus orthant: repeatedly pick the
   shortest negative chord of the current chart's pattern, swap the two labels
   sitting just inside it, and transport the pattern through that chart
-  change. For consistent input the walk terminates and the accumulated word
-  is the ordering whose component carries the input pattern.
+  change. The walk decides consistency. If it ends, its word's chart change
+  carries the pattern to all-plus, so the pattern is realizable and the word
+  is its ordering. If it revisits a pattern, it never ends: the input is
+  inconsistent.
 
 * ``reconstruct_sign_matrix`` + ``ordering_from_sign_matrix`` instead rebuild
   the pairwise order of the underlying points directly from the pattern by a
   double recursion, then sort.
 
-Each solve call is pure and independent; transposition chart changes are
-memoized per (n, p, q).
+Each solve call is pure; transposition chart changes are memoized per (n, p, q).
 """
 from __future__ import annotations
 
@@ -21,12 +22,11 @@ from dataclasses import dataclass
 
 from .ngon import Polygon, canonicalize, compose_transposition
 from .patterns import SignPattern, shortest_negative, stats
-from .relations import is_consistent
 from .signs import _transport_bits, _transposition_table
 
 
 class InconsistentPatternError(ValueError):
-    """The input pattern contradicts an extended u-relation."""
+    """The solver's walk revisited a pattern, so the input is not consistent."""
 
 
 class IntransitiveOrderError(ValueError):
@@ -85,19 +85,16 @@ def default_iteration_bound(n: int) -> int:
 def solve(poly: Polygon, pattern: SignPattern) -> tuple[tuple[int, ...], SolverTrace]:
     """Canonical dihedral ordering whose component carries ``pattern``.
 
-    The input must be consistent (checked up front); the returned trace
-    records every transposition. The ``default_iteration_bound`` is a safety
-    net only, termination for consistent input is guaranteed.
+    The walk decides consistency and raises ``InconsistentPatternError`` when
+    it revisits a pattern. The trace records every transposition; the
+    ``default_iteration_bound`` is only a safety net.
     """
     if pattern.n != poly.n:
         raise ValueError(f"pattern is for n={pattern.n}, polygon has n={poly.n}")
-    if not is_consistent(poly, pattern):
-        raise InconsistentPatternError(
-            f"pattern {pattern} contradicts an extended u-relation"
-        )
     bound = default_iteration_bound(poly.n)
     word = poly.identity_word
     current = pattern
+    visited = {pattern.bits}
     steps: list[TraceStep] = []
     while not current.is_all_plus():
         if len(steps) >= bound:
@@ -113,6 +110,9 @@ def solve(poly: Polygon, pattern: SignPattern) -> tuple[tuple[int, ...], SolverT
         current = SignPattern(
             poly.n, _transport_bits(current.bits, _transposition_table(poly.n, p, q))
         )
+        if current.bits in visited:
+            raise InconsistentPatternError(f"walk from {pattern} revisited a pattern")
+        visited.add(current.bits)
         negatives, min_length = stats(current)
         steps.append(TraceStep((a, b), (x, y), current, negatives, min_length))
     return canonicalize(word), SolverTrace(pattern, tuple(steps))

@@ -406,6 +406,26 @@ def test_verify_has_no_seed_flag(capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "5", "--pattern", "-----"],
+        ["verify", "5", "--ordering", "9"],
+        ["relations", "4", "--pattern=--"],
+        ["solve", "5", "--pattern", "+++++", "--ordering", "1,3,2,4,5"],
+        ["sign-of", "5", "--ordering", "1,3,2,4,5", "--pattern", "x"],
+    ],
+)
+def test_flag_of_another_subcommand_is_a_usage_error(argv, capsys):
+    # --pattern/--ordering are parsed by hand; a subcommand without the option
+    # must refuse it rather than run and drop it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 3 and captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("usigns: error: unrecognized")
+
+
 def test_diagram_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.svg"
     out2 = tmp_path / "b.svg"

@@ -25,6 +25,7 @@ from usigns import (
     solve,
     transport,
 )
+from usigns import relations
 from usigns.points import standard_gauge
 
 from conftest import DECAGON_NEGATIVES, PENTAGON_TABLE, consistent_bits
@@ -59,6 +60,41 @@ def test_solve_rejects_all_inconsistent_patterns(n):
         if bits not in good:
             with pytest.raises(InconsistentPatternError):
                 solve(poly, SignPattern(n, bits))
+
+
+@pytest.mark.parametrize("n", range(8, 15))
+def test_walk_verdict_matches_is_consistent(n):
+    # beyond the exhaustive range: uniformly random patterns, and consistent
+    # patterns with one chord flipped (some stay consistent, most do not)
+    poly = Polygon(n)
+    rng = random.Random(1000 + n)
+    samples = [rng.getrandbits(poly.chord_count) for _ in range(120)]
+    for _ in range(120):
+        word = rng.sample(range(1, n + 1), n)
+        flip = 1 << rng.randrange(poly.chord_count)
+        samples.append(sign_of_ordering(poly, word).bits ^ flip)
+    verdicts = set()
+    for bits in samples:
+        pattern = SignPattern(n, bits)
+        consistent = is_consistent(poly, pattern)
+        verdicts.add(consistent)
+        if consistent:
+            word, _ = solve(poly, pattern)
+            assert sign_of_ordering(poly, word) == pattern
+        else:
+            with pytest.raises(InconsistentPatternError):
+                solve(poly, pattern)
+    assert verdicts == {True, False}
+
+
+def test_solve_builds_no_relation_masks():
+    # the walk alone decides: a large-n solve reads no relation table
+    poly = Polygon(30)
+    word = tuple(random.Random(30).sample(range(1, 31), 30))
+    pattern = sign_of_ordering(poly, word)
+    before = relations._relation_masks.cache_info()
+    assert solve(poly, pattern)[0] == canonicalize(word)
+    assert relations._relation_masks.cache_info() == before
 
 
 def test_iteration_limit(monkeypatch):
