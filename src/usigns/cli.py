@@ -11,7 +11,7 @@ import json
 import math
 import sys
 
-from .ngon import Polygon, all_orderings, canonicalize, ordering_count
+from .ngon import Polygon, _check_permutation, all_orderings, canonicalize, ordering_count
 from .patterns import SignPattern
 from .relations import (
     URelation,
@@ -39,6 +39,11 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INCONSISTENT = 2
 EXIT_USAGE = 3
+
+# the solver's walk caches one transport table per transposition it swaps;
+# a cold solve of a random word (2 cores, Python 3.11) took 1.7 s and 138 MB
+# at n = 60, 6.8 s and 476 MB at n = 80, and 24 s and 1.8 GB at n = 100
+_SOLVE_MAX_N = 60
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,9 +106,7 @@ def _parse_word(poly: Polygon, text: str | None) -> tuple[int, ...]:
         word = tuple(int(p) for p in pieces)
     except ValueError as exc:
         raise ValueError(f"cannot parse ordering {text!r}") from exc
-    if sorted(word) != list(range(1, poly.n + 1)):
-        raise ValueError(f"{text!r} is not a permutation of 1..{poly.n}")
-    return word
+    return _check_permutation(word, poly.n)
 
 
 def cmd_relations(args) -> int:
@@ -173,6 +176,11 @@ def cmd_count(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.n > _SOLVE_MAX_N:
+        raise ValueError(
+            f"solve supports n <= {_SOLVE_MAX_N}, got {args.n}: a cold solve takes "
+            f"about 2 s and 140 MB at n = 60, 7 s and 480 MB at n = 80"
+        )
     poly = Polygon(args.n)
     pattern = _parse_pattern(poly, args.pattern)
     try:

@@ -1,10 +1,11 @@
 """Signed Laurent-monomial coordinate changes between dihedral charts.
 
 A chart is "the n-gon with positions 1..n"; a map sends each chord of its
-source chart to a signed monomial in the chords of its target chart. The
-source/target ordering words are carried as labels, so that composition can
-refuse mismatched charts and inversion can name the chart change from the
-target back to the source.
+source chart to a signed monomial in the chords of its target chart. Every
+map is the chart change between two dihedral orderings, so it is named by
+its (source, target) words alone: composition checks that the charts chain
+and returns the chart change from the inner source to the outer target, and
+inversion swaps the two words. The images are read off the words lazily.
 
 Every chart change is read off in closed form (Brown 2009, section 2): the
 product of the target-chart u's over a rectangle of chords, x in [a, b) and
@@ -13,21 +14,23 @@ points at those positions. Each source-chart u is a cross-ratio of four
 points, and so is plus or minus a ratio of two such rectangles, which are
 disjoint and sum to 1 by an extended u-relation. Every image exponent is -1,
 0 or 1; since the u's are multiplicatively independent, the image is the
-only monomial with that value.
+only monomial with that value. Each rectangle row is a run of chords
+contiguous in the canonical order, so a sign-transport table is a few bit
+blocks per chord, built without any monomial.
 
 Direction convention: a map is a ring map, source-chart variables expressed
 in target-chart variables. ``map_for_ordering(word)`` goes from the chart of
 ``word`` to the standard chart, so evaluating it on standard u-values yields
 the u-values of the relabeled configuration.
 
-Everything is exact: exponents are arbitrary-precision integers and signs are
-tracked through parity, so compositions can grow without overflow.
+Everything is exact: evaluation works on integer numerators and denominators
+and signs are tracked through parity.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from .ngon import Chord, Polygon, _check_permutation
@@ -71,20 +74,35 @@ class SignedMonomial:
 
 @dataclass(frozen=True)
 class MonomialMap:
-    """Chart change: image of every source chord as a target-chart monomial.
+    """Chart change from the chart of ``source`` to the chart of ``target``.
 
-    ``images`` is aligned with the canonical chord order of the source chart's
-    positions; monomial factors refer to target-chart positions.
+    The two words name the map; ``images`` is read off them in closed form,
+    aligned with the canonical chord order of the source chart's positions,
+    with monomial factors in target-chart positions.
     """
 
     n: int
     source: Word
     target: Word
-    images: tuple[SignedMonomial, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "source", _check_permutation(self.source, self.n))
+        object.__setattr__(self, "target", _check_permutation(self.target, self.n))
 
     @property
     def poly(self) -> Polygon:
         return Polygon(self.n)
+
+    @cached_property
+    def images(self) -> tuple[SignedMonomial, ...]:
+        chords = self.poly.chords
+        return tuple(
+            SignedMonomial(
+                -1 if odd else 1,
+                tuple((c, x) for k, size, x in runs for c in chords[k:k + size]),
+            )
+            for odd, runs in _rows(self.poly, self.source, self.target)
+        )
 
     def image(self, c: Chord) -> SignedMonomial:
         poly = self.poly
@@ -105,18 +123,17 @@ class MonomialMap:
 
     def transport_table(self) -> tuple[tuple[int, int], ...]:
         """(negative-bit, odd-exponent mask) per source chord, for fast sign
-        transport through this map."""
-        index = self.poly.chord_index
+        transport through this map. Every exponent is odd, so each run of
+        chords is one block of bits."""
         return tuple(
-            (1 if mono.sign < 0 else 0, sum(1 << index[c] for c, e in mono.powers if e & 1))
-            for mono in self.images
+            (odd, sum(((1 << size) - 1) << k for k, size, _ in runs))
+            for odd, runs in _rows(self.poly, self.source, self.target)
         )
 
 
 def identity_map(poly: Polygon, word: Sequence[int] | None = None) -> MonomialMap:
-    word = poly.identity_word if word is None else _check_permutation(word)
-    images = tuple(SignedMonomial.make(1, {c: 1}) for c in poly.chords)
-    return MonomialMap(poly.n, word, word, images)
+    word = poly.identity_word if word is None else word
+    return MonomialMap(poly.n, word, word)
 
 
 def _corners(
@@ -135,12 +152,17 @@ def _corners(
 
 def _odd(a: int, b: int, c: int, e: int) -> int:
     """1 if the image of the chord with corners A, B, C, E is negative (see
-    ``_chart_change``), else 0."""
+    ``_rows``), else 0."""
     return ((a > e) + (b > c) + (a > c) + (b > e)) & 1
 
 
-def _chart_change(poly: Polygon, source: Sequence[int], target: Sequence[int]) -> MonomialMap:
-    """The chart change from the chart of ``source`` to the chart of ``target``.
+def _rows(
+    poly: Polygon, source: Word, target: Word
+) -> Iterator[tuple[int, list[tuple[int, int, int]]]]:
+    """Per source chord, in chord order, of the chart change from the chart
+    of ``source`` to the chart of ``target``: its sign bit and its image as
+    runs (first chord index, run length, exponent) of chords contiguous in
+    the canonical order.
 
     For source chord (i, j), let A, B, C, E be the target positions of the
     labels at source positions i, i+1, j, j+1 (mod n), and d_xy the
@@ -155,12 +177,7 @@ def _chart_change(poly: Polygon, source: Sequence[int], target: Sequence[int]) -
     parity of (A > E) + (B > C) + (A > C) + (B > E), the d's written against
     their sorted order.
     """
-    source, target = _check_permutation(source), _check_permutation(target)
-    n = poly.n
-    if len(source) != n or len(target) != n:
-        raise ValueError(f"words {source}, {target} do not both have length n={n}")
-    chords, index = poly.chords, poly.pair_index
-    images = []
+    n, index = poly.n, poly.pair_index
     for a, b, c, e in _corners(poly, source, target):
         p, q, r, s = sorted((a, b, c, e))
         # p's partner names each pairing: q in X, r in Y, s in Z
@@ -173,22 +190,15 @@ def _chart_change(poly: Polygon, source: Sequence[int], target: Sequence[int]) -
         else:
             num, den = a, b
         e1, e2 = (num == s) - (den == s), (num == q) - (den == q)
-        # emitted in chord order: R2 below p, then R1, then R2 from q up
-        powers: list[tuple[Chord, int]] = []
+        # in chord order: R2 below p, then R1, then R2 from q up
+        runs = []
         if e2:
-            for y in range(1, p):
-                k = index[y][q]
-                powers.extend(zip(chords[k:k + r - q], repeat(e2)))
+            runs += [(index[y][q], r - q, e2) for y in range(1, p)]
         if e1:
-            for x in range(p, q):
-                k = index[x][r]
-                powers.extend(zip(chords[k:k + s - r], repeat(e1)))
+            runs += [(index[x][r], s - r, e1) for x in range(p, q)]
         if e2:
-            for x in range(q, r):
-                k = index[x][s]
-                powers.extend(zip(chords[k:k + n + 1 - s], repeat(e2)))
-        images.append(SignedMonomial(-1 if _odd(a, b, c, e) else 1, tuple(powers)))
-    return MonomialMap(n, source, target, tuple(images))
+            runs += [(index[x][s], n + 1 - s, e2) for x in range(q, r)]
+        yield _odd(a, b, c, e), runs
 
 
 def _transposed(poly: Polygon, p: int, q: int) -> Word:
@@ -206,37 +216,25 @@ def elementary_map(poly: Polygon, k: int) -> MonomialMap:
     """
     if not 1 <= k <= poly.n:
         raise ValueError(f"position k must be in 1..{poly.n}, got {k}")
-    return _chart_change(poly, _transposed(poly, k, k % poly.n + 1), poly.identity_word)
+    return map_for_transposition(poly, k, k % poly.n + 1)
 
 
 def compose(outer: MonomialMap, inner: MonomialMap) -> MonomialMap:
-    """The map sending c to outer(inner(c)); inner's target must be outer's source."""
+    """The map sending c to outer(inner(c)); inner's target must be outer's
+    source. Chart changes chain, so this is the chart change from inner's
+    source to outer's target."""
     if outer.n != inner.n:
         raise ChartMismatchError(f"sizes differ: {outer.n} vs {inner.n}")
     if outer.source != inner.target:
         raise ChartMismatchError(
             f"charts do not chain: inner targets {inner.target}, outer expects {outer.source}"
         )
-    index = inner.poly.chord_index
-    outer_images = outer.images
-    images = []
-    for mono in inner.images:
-        sign = mono.sign
-        exps: dict[Chord, int] = {}
-        for c, e in mono.powers:
-            img = outer_images[index[c]]
-            if e & 1 and img.sign < 0:
-                sign = -sign
-            for d, f in img.powers:
-                exps[d] = exps.get(d, 0) + e * f
-        powers = tuple(sorted((d, x) for d, x in exps.items() if x))
-        images.append(SignedMonomial(sign, powers))
-    return MonomialMap(outer.n, inner.source, outer.target, tuple(images))
+    return MonomialMap(outer.n, inner.source, outer.target)
 
 
 def map_for_ordering(poly: Polygon, word: Sequence[int]) -> MonomialMap:
     """The chart change from the chart of ``word`` to the standard chart."""
-    return _chart_change(poly, word, poly.identity_word)
+    return MonomialMap(poly.n, word, poly.identity_word)
 
 
 def map_for_transposition(poly: Polygon, p: int, q: int) -> MonomialMap:
@@ -247,24 +245,13 @@ def map_for_transposition(poly: Polygon, p: int, q: int) -> MonomialMap:
     """
     if poly.wrap(p) == poly.wrap(q):
         raise ValueError("positions must differ")
-    return _chart_change(poly, _transposed(poly, poly.wrap(p), poly.wrap(q)), poly.identity_word)
+    return MonomialMap(poly.n, _transposed(poly, poly.wrap(p), poly.wrap(q)), poly.identity_word)
 
 
 def invert(m: MonomialMap) -> MonomialMap:
-    """The two-sided inverse chart change: the chart change from the map's
-    target back to its source.
-
-    A map whose images are not the chart change between its own source and
-    target labels (for instance one with a non-unimodular exponent matrix)
-    raises ``ValueError``. The u's are multiplicatively independent, so a
-    map has a two-sided inverse under ``compose`` in that reverse chart change
-    exactly when it is the chart change itself.
-    """
-    poly = m.poly
-    inv = _chart_change(poly, m.target, m.source)
-    if m.images != _chart_change(poly, m.source, m.target).images:
-        raise ValueError("map is not the chart change between its source and target")
-    return inv
+    """The two-sided inverse under ``compose``: the chart change from the
+    map's target back to its source."""
+    return MonomialMap(m.n, m.target, m.source)
 
 
 def evaluate(m: MonomialMap, vals: Mapping[Chord, Fraction]) -> dict[Chord, Fraction]:

@@ -143,9 +143,12 @@ def crossing_chords(poly: Polygon, c: Chord) -> tuple[Chord, ...]:
     return tuple(d for d in poly.chords if d != c and crosses(poly, c, d))
 
 
-def _check_permutation(word: Sequence[int]) -> tuple[int, ...]:
+def _check_permutation(word: Sequence[int], n: int | None = None) -> tuple[int, ...]:
+    """``word`` as a tuple, if it is a permutation of 1..n (n defaults to its
+    length); otherwise a one-line ``ValueError``."""
     word = tuple(word)
-    n = len(word)
+    if n is None:
+        n = len(word)
     if sorted(word) != list(range(1, n + 1)):
         raise ValueError(f"{word!r} is not a permutation of 1..{n}")
     return word

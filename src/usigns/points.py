@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .ngon import Chord, Polygon
+from .ngon import Chord, Polygon, _check_permutation
 from .patterns import SignPattern
 
 
@@ -155,9 +155,7 @@ def realize(poly: Polygon, word: Sequence[int]) -> PointConfig:
     The point labeled word[k] sits at the finite value k, so any strictly
     increasing placement would do just as well.
     """
-    word = tuple(word)
-    if sorted(word) != list(range(1, poly.n + 1)):
-        raise ValueError(f"{word!r} is not a permutation of 1..{poly.n}")
+    word = _check_permutation(word, poly.n)
     position = [0] * poly.n
     for k, label in enumerate(word, start=1):
         position[label - 1] = k

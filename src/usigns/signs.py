@@ -49,9 +49,7 @@ def sign_of_ordering(poly: Polygon, word: Sequence[int]) -> SignPattern:
     label pairs {i, i+1} and {j, j+1} (mod n) interlace in the cyclic order
     of ``word``, so the pattern depends only on the word's dihedral class.
     """
-    word = _check_permutation(word)
-    if len(word) != poly.n:
-        raise ValueError(f"word has length {len(word)}, polygon has n={poly.n}")
+    word = _check_permutation(word, poly.n)
     bits = 0
     for k, corners in enumerate(_corners(poly, poly.identity_word, word)):
         if _odd(*corners):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from usigns import Polygon, SignPattern, consistent_patterns
+from usigns import Polygon, SignedMonomial, SignPattern, consistent_patterns
 from usigns.points import PointConfig
 
 # the twelve ordering/pattern pairs of the pentagon, signs over
@@ -62,6 +62,54 @@ def rotate_pattern(pattern: SignPattern, shift: int) -> SignPattern:
 def reflect_pattern(pattern: SignPattern) -> SignPattern:
     n = pattern.n
     return relabel_pattern(pattern, lambda v: n + 1 - v)
+
+
+def reference_elementary_images(poly, k):
+    """Images of the adjacent-swap-at-position-k chart change, case by case.
+
+    Five positional cases, indices mod n: chords away from k-1, k, k+1 are
+    fixed; a chord into k-1 (resp. k+1) picks up the parallel chord into k;
+    a chord into k inverts; and the short chord spanning k flips sign and
+    divides by every chord into k.
+    """
+    n = poly.n
+    km1, kp1 = poly.wrap(k - 1), poly.wrap(k + 1)
+    special = poly.chord(km1, kp1)
+    images = []
+    for c in poly.chords:
+        i, j = c
+        if c == special:
+            exps = {special: 1}
+            for v in range(1, n + 1):
+                if v not in (km1, k, kp1):
+                    exps[poly.chord(v, k)] = -1
+            images.append(SignedMonomial.make(-1, exps))
+        elif k in c:
+            other = j if i == k else i
+            images.append(SignedMonomial.make(1, {poly.chord(other, k): -1}))
+        elif km1 in c:
+            other = j if i == km1 else i
+            images.append(
+                SignedMonomial.make(1, {poly.chord(other, km1): 1, poly.chord(other, k): 1})
+            )
+        elif kp1 in c:
+            other = j if i == kp1 else i
+            images.append(
+                SignedMonomial.make(1, {poly.chord(other, k): 1, poly.chord(other, kp1): 1})
+            )
+        else:
+            images.append(SignedMonomial.make(1, {c: 1}))
+    return tuple(images)
+
+
+def table_from_images(poly, images):
+    """Transport table read off full monomials: (negative-bit, mask of the
+    chords with odd exponent) per image."""
+    index = poly.chord_index
+    return tuple(
+        (1 if mono.sign < 0 else 0, sum(1 << index[c] for c, e in mono.powers if e & 1))
+        for mono in images
+    )
 
 
 def random_config(rng: random.Random, n: int, with_infinity: bool = False) -> PointConfig:

@@ -285,6 +285,20 @@ def test_solve_iteration_limit_exit_2(capsys, monkeypatch):
     assert err == "usigns: error: no all-plus pattern within 1 iterations\n"
 
 
+def test_solve_n_bound(capsys, monkeypatch):
+    code, out, _ = run(capsys, "solve", "60", "--pattern", "+" * (60 * 57 // 2))
+    assert code == 0 and out.startswith("ordering: 1 2 3 ")
+
+    def unparsed(*args):
+        raise AssertionError("pattern parsed")
+
+    # refused before the pattern is read
+    monkeypatch.setattr("usigns.cli._parse_pattern", unparsed)
+    code, out, err = run(capsys, "solve", "61", "--pattern", "+" * (61 * 58 // 2))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("usigns: error: solve supports n <= 60")
+
+
 def test_solve_malformed_exit_3(capsys):
     code, _, err = run(capsys, "solve", "5", "--pattern", "-+")
     assert code == 3

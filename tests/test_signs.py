@@ -7,6 +7,7 @@ import random
 import pytest
 
 from usigns import (
+    MonomialMap,
     Polygon,
     SignPattern,
     all_orderings,
@@ -25,14 +26,23 @@ from usigns import (
 )
 from usigns.signs import _transport_bits, _transposition_table
 
-from conftest import PENTAGON_TABLE, consistent_bits, rotate_pattern
+from conftest import (
+    PENTAGON_TABLE,
+    consistent_bits,
+    reference_elementary_images,
+    rotate_pattern,
+    table_from_images,
+)
 
 
 @functools.lru_cache(maxsize=None)
 def elementary_tables(n):
-    """Transport tables of the n adjacent-swap chart changes; k at index k - 1."""
+    """Transport tables of the n adjacent-swap chart changes, read off the
+    five-case formula; k at index k - 1."""
     poly = Polygon(n)
-    return tuple(elementary_map(poly, k).transport_table() for k in range(1, n + 1))
+    return tuple(
+        table_from_images(poly, reference_elementary_images(poly, k)) for k in range(1, n + 1)
+    )
 
 
 def sort_positions(word):
@@ -220,6 +230,22 @@ def test_transposition_table_matches_laurent_route(n):
     # the closed-form table agrees with the GF(2) chain of elementary tables
     for p, q in itertools.permutations(range(1, n + 1), 2):
         assert _transposition_table(n, p, q) == reference_transposition_table(n, p, q)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 12, 20, 40])
+def test_transport_table_matches_images(n):
+    # the bit blocks of the rectangle runs equal the table read off the full
+    # images: every word to and from the standard chart, and seeded pairs
+    poly = Polygon(n)
+    if n <= 7:
+        pairs = [(w, poly.identity_word) for w in itertools.permutations(poly.identity_word)]
+        pairs += [(target, source) for source, target in pairs]
+    else:
+        rng = random.Random(5150 + n)
+        pairs = [(rng.sample(range(1, n + 1), n), rng.sample(range(1, n + 1), n)) for _ in range(4)]
+    for source, target in pairs:
+        m = MonomialMap(n, source, target)
+        assert m.transport_table() == table_from_images(poly, m.images)
 
 
 @pytest.mark.parametrize("n", [7, 8])

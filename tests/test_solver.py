@@ -14,7 +14,10 @@ from usigns import (
     SignPattern,
     all_orderings,
     canonicalize,
+    compose,
     compose_transposition,
+    identity_map,
+    invert,
     is_consistent,
     map_for_ordering,
     map_for_transposition,
@@ -25,7 +28,8 @@ from usigns import (
     solve,
     transport,
 )
-from usigns import relations
+from usigns import monomial, relations
+from usigns.signs import _transposition_table
 from usigns.points import standard_gauge
 
 from conftest import DECAGON_NEGATIVES, PENTAGON_TABLE, consistent_bits
@@ -95,6 +99,24 @@ def test_solve_builds_no_relation_masks():
     before = relations._relation_masks.cache_info()
     assert solve(poly, pattern)[0] == canonicalize(word)
     assert relations._relation_masks.cache_info() == before
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_solve_builds_no_monomials(n, monkeypatch):
+    # transport tables come from the chart-change rows; compose and invert
+    # act on the words alone
+    def refuse(*args):
+        raise AssertionError("built a SignedMonomial")
+
+    poly = Polygon(n)
+    word = tuple(random.Random(1200 + n).sample(range(1, n + 1), n))
+    pattern = sign_of_ordering(poly, word)
+    _transposition_table.cache_clear()
+    monkeypatch.setattr(monomial, "SignedMonomial", refuse)
+    assert solve(poly, pattern)[0] == canonicalize(word)
+    m = map_for_ordering(poly, word)
+    assert compose(invert(m), m) == identity_map(poly, word)
+    assert transport(pattern, m).is_all_plus()
 
 
 def test_iteration_limit(monkeypatch):
