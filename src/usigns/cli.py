@@ -45,6 +45,11 @@ EXIT_USAGE = 3
 # at n = 60, 6.8 s and 476 MB at n = 80, and 24 s and 1.8 GB at n = 100
 _SOLVE_MAX_N = 60
 
+# sign-of builds its pattern one chord bit at a time on an n(n-3)/2-bit int;
+# a cold run on a random word (2 cores, Python 3.11) took 1.0 s and 69 MB at
+# n = 1000 and 3.9 s and 135 MB at n = 1500
+_SIGN_OF_MAX_N = 1000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
@@ -210,6 +215,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sign_of(args) -> int:
+    if args.n > _SIGN_OF_MAX_N:
+        raise ValueError(
+            f"sign-of supports n <= {_SIGN_OF_MAX_N}, got {args.n}: a cold run takes "
+            f"about 1 s and 70 MB at n = 1000, 4 s and 135 MB at n = 1500"
+        )
     poly = Polygon(args.n)
     word = _parse_word(poly, args.ordering)
     pattern = sign_of_ordering(poly, word)

@@ -33,7 +33,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .ngon import Chord, Polygon, _check_permutation
+from .ngon import Chord, Polygon, _check_permutation, compose_transposition
+from .ngon import _cut_runs, _run_bits
 
 Word = tuple[int, ...]
 
@@ -94,6 +95,11 @@ class MonomialMap:
         return Polygon(self.n)
 
     @cached_property
+    def _row_list(self) -> tuple[tuple[int, list[tuple[int, int, int]]], ...]:
+        """``_rows``, read once for ``images`` and ``transport_table``."""
+        return tuple(_rows(self.poly, self.source, self.target))
+
+    @cached_property
     def images(self) -> tuple[SignedMonomial, ...]:
         chords = self.poly.chords
         return tuple(
@@ -101,7 +107,7 @@ class MonomialMap:
                 -1 if odd else 1,
                 tuple((c, x) for k, size, x in runs for c in chords[k:k + size]),
             )
-            for odd, runs in _rows(self.poly, self.source, self.target)
+            for odd, runs in self._row_list
         )
 
     def image(self, c: Chord) -> SignedMonomial:
@@ -125,10 +131,7 @@ class MonomialMap:
         """(negative-bit, odd-exponent mask) per source chord, for fast sign
         transport through this map. Every exponent is odd, so each run of
         chords is one block of bits."""
-        return tuple(
-            (odd, sum(((1 << size) - 1) << k for k, size, _ in runs))
-            for odd, runs in _rows(self.poly, self.source, self.target)
-        )
+        return tuple((odd, _run_bits(runs)) for odd, runs in self._row_list)
 
 
 def identity_map(poly: Polygon, word: Sequence[int] | None = None) -> MonomialMap:
@@ -161,23 +164,20 @@ def _rows(
 ) -> Iterator[tuple[int, list[tuple[int, int, int]]]]:
     """Per source chord, in chord order, of the chart change from the chart
     of ``source`` to the chart of ``target``: its sign bit and its image as
-    runs (first chord index, run length, exponent) of chords contiguous in
-    the canonical order.
+    the chord runs of ``ngon._cut_runs``.
 
     For source chord (i, j), let A, B, C, E be the target positions of the
     labels at source positions i, i+1, j, j+1 (mod n), and d_xy the
     difference of the points at target positions x and y. The chord's u is
     d_AE*d_BC / (d_AC*d_BE). Sort A, B, C, E to p < q < r < s; numerator and
     denominator are each one of the pairings X = d_pq*d_rs, Y = d_pr*d_qs and
-    Z = d_ps*d_qr, up to sign. Two rectangles of target chords telescope:
-    R1, over x in [p, q) and y in [r, s), is Z/Y, and R2, over x in [q, r)
-    and y from s round past n to p - 1, is X/Y. So the image is R1 to the
+    Z = d_ps*d_qr, up to sign. The two rectangles of target chords at those
+    cuts telescope: R1 is Z/Y and R2 is X/Y. So the image is R1 to the
     power [numerator is Z] - [denominator is Z] times R2 to the power
     [numerator is X] - [denominator is X], and its sign is ``_odd``: the
     parity of (A > E) + (B > C) + (A > C) + (B > E), the d's written against
     their sorted order.
     """
-    n, index = poly.n, poly.pair_index
     for a, b, c, e in _corners(poly, source, target):
         p, q, r, s = sorted((a, b, c, e))
         # p's partner names each pairing: q in X, r in Y, s in Z
@@ -190,22 +190,7 @@ def _rows(
         else:
             num, den = a, b
         e1, e2 = (num == s) - (den == s), (num == q) - (den == q)
-        # in chord order: R2 below p, then R1, then R2 from q up
-        runs = []
-        if e2:
-            runs += [(index[y][q], r - q, e2) for y in range(1, p)]
-        if e1:
-            runs += [(index[x][r], s - r, e1) for x in range(p, q)]
-        if e2:
-            runs += [(index[x][s], n + 1 - s, e2) for x in range(q, r)]
-        yield _odd(a, b, c, e), runs
-
-
-def _transposed(poly: Polygon, p: int, q: int) -> Word:
-    """The identity word with the entries at positions p and q swapped."""
-    word = list(poly.identity_word)
-    word[p - 1], word[q - 1] = word[q - 1], word[p - 1]
-    return tuple(word)
+        yield _odd(a, b, c, e), _cut_runs(poly, p, q, r, s, e1, e2)
 
 
 def elementary_map(poly: Polygon, k: int) -> MonomialMap:
@@ -245,7 +230,8 @@ def map_for_transposition(poly: Polygon, p: int, q: int) -> MonomialMap:
     """
     if poly.wrap(p) == poly.wrap(q):
         raise ValueError("positions must differ")
-    return MonomialMap(poly.n, _transposed(poly, poly.wrap(p), poly.wrap(q)), poly.identity_word)
+    word = compose_transposition(poly.identity_word, poly.wrap(p), poly.wrap(q))
+    return MonomialMap(poly.n, word, poly.identity_word)
 
 
 def invert(m: MonomialMap) -> MonomialMap:

@@ -237,3 +237,32 @@ def cyclic_intervals(poly: Polygon, cuts: Sequence[int]) -> tuple[tuple[int, ...
         size = (b - a) % n
         out.append(tuple(poly.wrap(a + t) for t in range(size)))
     return tuple(out)
+
+
+def _cut_runs(
+    poly: Polygon, p: int, q: int, r: int, s: int, e1: int, e2: int
+) -> list[tuple[int, int, int]]:
+    """R1^e1 * R2^e2 at cut points p < q < r < s, as runs (first chord
+    index, run length, exponent) of chords contiguous in the canonical order,
+    in chord order. A rectangle whose exponent is 0 is left out.
+
+    R1 is the rectangle of chords x in [p, q), y in [r, s), and R2 the one of
+    x in [q, r), y from s round past n to p - 1: the two terms of the extended
+    u-relation R1 + R2 = 1 at those cuts. Each row of a rectangle, one x and
+    its run of y's, is one run.
+    """
+    n, index = poly.n, poly.pair_index
+    # in chord order: R2 below p, then R1, then R2 from q up
+    runs = []
+    if e2:
+        runs += [(index[y][q], r - q, e2) for y in range(1, p)]
+    if e1:
+        runs += [(index[x][r], s - r, e1) for x in range(p, q)]
+    if e2:
+        runs += [(index[x][s], n + 1 - s, e2) for x in range(q, r)]
+    return runs
+
+
+def _run_bits(runs: Iterable[tuple[int, int, int]]) -> int:
+    """Bitmask over the canonical chord order of the chords in ``runs``."""
+    return sum(((1 << size) - 1) << k for k, size, _ in runs)

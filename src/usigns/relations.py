@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .ngon import Chord, Polygon, crossing_chords, cyclic_intervals
+from .ngon import _cut_runs, _run_bits
 from .patterns import SignPattern
 
 # chord bits of the 12-gon (54) are the most a uint64 pattern holds
@@ -56,13 +57,19 @@ def extended_relation(poly: Polygon, cuts: Sequence[int]) -> URelation:
     """Relation for the 4-interval cyclic partition at the given cut points.
 
     With intervals A, B, C, D read off from the cuts, the first term is the
-    product over A x C chords and the second over B x D chords. Cut choices
-    where one side has singleton intervals reproduce primitive relations.
+    product over A x C chords and the second over B x D chords, each in chord
+    order. Cut choices where one side has singleton intervals reproduce
+    primitive relations.
     """
-    a, b, c, d = cyclic_intervals(poly, cuts)
-    t1 = tuple(sorted(poly.chord(i, j) for i in a for j in c))
-    t2 = tuple(sorted(poly.chord(k, l) for k in b for l in d))
-    return URelation(poly.n, t1, t2, tuple(cuts))
+    cuts, n = tuple(cuts), poly.n
+    if len(cuts) != 4 or list(cuts) != sorted(set(cuts)) or cuts[0] < 1 or cuts[-1] > n:
+        raise ValueError(f"need 4 cut points p < q < r < s in 1..{n}, got {cuts}")
+    chords = poly.chords
+    t1, t2 = (
+        tuple(c for k, size, _ in _cut_runs(poly, *cuts, *e) for c in chords[k:k + size])
+        for e in ((1, 0), (0, 1))
+    )
+    return URelation(n, t1, t2, cuts)
 
 
 def extended_relations(poly: Polygon) -> tuple[URelation, ...]:
@@ -76,18 +83,28 @@ def extended_relations(poly: Polygon) -> tuple[URelation, ...]:
 @lru_cache(maxsize=None)
 def _relation_masks(n: int, primitive_only: bool) -> tuple[tuple[int, int], ...]:
     """Per distinct relation, its (mask1, mask2) bit masks over canonical
-    chord indices, in the order of the relation list.
+    chord indices, in the order of the relation list, summed from the chord
+    runs of the two rectangles at its cuts.
 
     The extended list has no duplicates, so its row k belongs to the k-th
-    cut choice; the square's two primitive relations coincide.
+    cut choice. The primitive relation of chord (i, j) is the one at cuts
+    i, i+1, j, j+1 (mod n), with the chord's own term first; the square's two
+    primitive relations coincide, and only the first is kept.
     """
     poly = Polygon(n)
-    rels = primitive_relations(poly) if primitive_only else extended_relations(poly)
-    masks: dict[frozenset, tuple[int, int]] = {}
-    for r in rels:
-        pair = (poly.mask(r.t1), poly.mask(r.t2))
-        masks.setdefault(frozenset(pair), pair)
-    return tuple(masks.values())
+    if primitive_only:
+        # for j = n the cuts sort to 1, i, i+1, n, and the chord is B x D;
+        # the square's two chords share their cuts
+        own_second: dict[tuple[int, ...], bool] = {}
+        for i, j in poly.chords:
+            own_second.setdefault(tuple(sorted((i, i + 1, j, j % n + 1))), j == n)
+    else:
+        own_second = dict.fromkeys(itertools.combinations(range(1, n + 1), 4), False)
+    masks = []
+    for cuts, swap in own_second.items():
+        m1, m2 = (_run_bits(_cut_runs(poly, *cuts, *e)) for e in ((1, 0), (0, 1)))
+        masks.append((m2, m1) if swap else (m1, m2))
+    return tuple(masks)
 
 
 def contradicts(pattern: SignPattern, relation: URelation) -> bool:

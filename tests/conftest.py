@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from usigns import Polygon, SignedMonomial, SignPattern, consistent_patterns
+from usigns import Polygon, SignedMonomial, SignPattern, URelation, consistent_patterns
+from usigns.ngon import cyclic_intervals
 from usigns.points import PointConfig
 
 # the twelve ordering/pattern pairs of the pentagon, signs over
@@ -34,6 +35,15 @@ def consistent_bits(n: int, primitive_only: bool = False) -> frozenset[int]:
     return frozenset(
         p.bits for p in consistent_patterns(poly, primitive_only=primitive_only)
     )
+
+
+def reference_relation(poly, cuts) -> URelation:
+    """The extended relation at the cuts, built pair by pair: with intervals
+    A, B, C, D read off from the cuts, the sorted A x C and B x D chords."""
+    a, b, c, d = cyclic_intervals(poly, cuts)
+    t1 = tuple(sorted(poly.chord(i, j) for i in a for j in c))
+    t2 = tuple(sorted(poly.chord(k, l) for k in b for l in d))
+    return URelation(poly.n, t1, t2, tuple(cuts))
 
 
 def label_chord(word, a: int, b: int) -> tuple[int, int]:

@@ -334,6 +334,19 @@ def test_sign_of_random_200(capsys):
     assert out == f"{signs_from_points(realize(Polygon(200), word))}\n"
 
 
+def test_sign_of_n_bound(capsys, monkeypatch):
+    def unparsed(*args):
+        raise ValueError("ordering parsed")
+
+    monkeypatch.setattr("usigns.cli._parse_word", unparsed)
+    code, _, err = run(capsys, "sign-of", "1000", "--ordering", "1")
+    assert code == 3 and "ordering parsed" in err
+    # refused before the ordering is read
+    code, out, err = run(capsys, "sign-of", "1001", "--ordering", "1")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("usigns: error: sign-of supports n <= 1000")
+
+
 def test_sign_of_malformed(capsys):
     code, _, err = run(capsys, "sign-of", "5", "--ordering", "1,2,3")
     assert code == 3

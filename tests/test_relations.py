@@ -26,7 +26,7 @@ from usigns import _enumeration
 from usigns._enumeration import _plan
 from usigns.relations import _relation_masks
 
-from conftest import consistent_bits, reflect_pattern, rotate_pattern
+from conftest import consistent_bits, reference_relation, reflect_pattern, rotate_pattern
 
 N6_PRIMITIVE = {
     ((1, 3),): ((2, 4), (2, 5), (2, 6)),
@@ -97,6 +97,24 @@ def test_extended_relations_n6_split():
     }
     assert prim <= ext
     assert ext - prim == proper
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_extended_relation_matches_reference(n):
+    poly = Polygon(n)
+    for cuts in itertools.combinations(range(1, n + 1), 4):
+        assert extended_relation(poly, cuts) == reference_relation(poly, cuts)
+
+
+@pytest.mark.parametrize(
+    "cuts", [(1, 2, 3, 4, 5), (1, 2, 3), (4, 3, 2, 1), (1, 2, 3, 8), (0, 2, 3, 4)]
+)
+def test_extended_relation_needs_four_increasing_cuts(cuts):
+    with pytest.raises(ValueError) as exc:
+        extended_relation(Polygon(7), cuts)
+    message = str(exc.value)
+    assert "\n" not in message
+    assert message.startswith("need 4 cut points p < q < r < s in 1..7")
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -391,17 +409,37 @@ def test_relation_mask_dedup():
     assert len(_relation_masks(4, False)) == 1
 
 
-@pytest.mark.parametrize("n", range(4, 13))
+@pytest.mark.parametrize("n", range(4, 15))
 def test_relation_terms_table(n):
-    # the one per-n relation table: term masks of the public relation objects
+    # the one per-n relation table: term masks of the pair-by-pair relations
+    # in cut order, and of the chord-and-crossings primitive relations
     poly = Polygon(n)
     for primitive_only, rels in (
-        (False, extended_relations(poly)),
+        (False, [reference_relation(poly, cuts)
+                 for cuts in itertools.combinations(range(1, n + 1), 4)]),
         (True, primitive_relations(poly)),
     ):
         expected = tuple((poly.mask(r.t1), poly.mask(r.t2)) for r in rels)
         # the square's two primitive relations are one relation
         assert _relation_masks(n, primitive_only) == (expected[:1] if n == 4 else expected)
+
+
+def test_relation_masks_build_no_relation_objects(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("relation object or chord lookup on the mask path")
+
+    n = 30
+    _relation_masks.cache_clear()
+    monkeypatch.setattr("usigns.relations.URelation", refused)
+    monkeypatch.setattr(Polygon, "chord", refused)
+    monkeypatch.setattr(Polygon, "mask", refused)
+    try:
+        extended = _relation_masks(n, False)
+        primitive = _relation_masks(n, True)
+    finally:
+        _relation_masks.cache_clear()
+    assert len(extended) == math.comb(n, 4)
+    assert len(primitive) == n * (n - 3) // 2
 
 
 @pytest.mark.parametrize("n", range(4, 13))
