@@ -14,16 +14,12 @@ from .ngon import (
     compose_transposition,
     crosses,
     crossing_chords,
-    cyclic_intervals,
-    dihedral_class,
     ordering_count,
 )
 from .patterns import SignPattern, shortest_negative, stats
 from .relations import (
     URelation,
-    coarsen,
     consistent_patterns,
-    contradicts,
     count_consistent,
     extended_relation,
     extended_relations,
@@ -36,9 +32,7 @@ from .monomial import (
     MonomialMap,
     SignedMonomial,
     compose,
-    elementary_map,
     evaluate,
-    identity_map,
     invert,
     map_for_ordering,
     map_for_transposition,
@@ -65,7 +59,6 @@ from .points import (
     relations_vanish,
     signs_from_points,
     standard_gauge,
-    transformed,
     u_values,
 )
 

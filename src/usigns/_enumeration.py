@@ -1,13 +1,15 @@
 """The numpy half of ``relations``: counting, streaming and writing consistent
 patterns.
 
-One frontier enumerator serves both relation sets. It sets the chords one at
-a time in star order: by smaller endpoint, ascending, and within that by
-larger endpoint, descending. Each relation of ``_relation_masks`` is checked
-once, at the step that sets the last of its chords, so a pattern survives to
-the end exactly when it contradicts no relation; the chord order only decides
-how large the frontier of partial patterns grows. In star order the extended
-frontier never exceeds the final count (checked for n <= 11).
+One frontier enumerator runs on any tuple of relation masks, each relation a
+(mask1, mask2) pair of term bit masks over the canonical chord order, as
+``relations._relation_masks`` builds them. It sets the chords one at a time
+in star order: by smaller endpoint, ascending, and within that by larger
+endpoint, descending. Each relation is checked once, at the step that sets
+the last of its chords, so a pattern survives to the end exactly when it
+contradicts no relation; the chord order only decides how large the frontier
+of partial patterns grows. In star order the extended frontier never exceeds
+the final count (checked for n <= 11).
 
 A frontier that outgrows ``_BLOCK_ENTRIES`` patterns is cut into blocks that
 are finished depth-first, so memory stays bounded at every n.
@@ -20,7 +22,6 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from .ngon import Polygon
-from .relations import _relation_masks
 
 # most patterns one block extends at once; also the most uint64 words one
 # extension step gathers per group of relations
@@ -38,7 +39,7 @@ _SIGN_BYTES = np.frombuffer(b"+-", dtype=np.uint8)
 
 
 @lru_cache(maxsize=None)
-def _plan(n: int, primitive_only: bool) -> tuple:
+def _plan(n: int, masks: tuple[tuple[int, int], ...]) -> tuple:
     """The frontier's extension steps: per chord d in star order, (bit of d,
     terms), where ``terms[0, r]`` is the mask of the term of the r-th
     relation closing at d that holds d, with d removed, and ``terms[1, r]``
@@ -49,7 +50,7 @@ def _plan(n: int, primitive_only: bool) -> tuple:
     order = sorted(range(poly.chord_count), key=lambda k: (poly.chords[k][0], -poly.chords[k][1]))
     rank = {k: s for s, k in enumerate(order)}
     closing: list[list[tuple[int, int]]] = [[] for _ in order]
-    for m1, m2 in _relation_masks(n, primitive_only):
+    for m1, m2 in masks:
         last = max(rank[k] for k in range(poly.chord_count) if (m1 | m2) >> k & 1)
         d = 1 << order[last]
         closing[last].append((m1 ^ d, m2) if m1 & d else (m2 ^ d, m1))
@@ -92,7 +93,7 @@ def _grow(steps: tuple, k: int, x: np.ndarray) -> tuple[int, np.ndarray]:
     return k, x
 
 
-def _blocks(n: int, primitive_only: bool, progress=None) -> Iterator[np.ndarray]:
+def _blocks(n: int, masks: tuple, progress=None) -> Iterator[np.ndarray]:
     """The consistent n-gon patterns in uint64 blocks, in no set order.
 
     The frontier grows from one zero pattern until it outgrows ``_BLOCK_ENTRIES``,
@@ -101,7 +102,7 @@ def _blocks(n: int, primitive_only: bool, progress=None) -> Iterator[np.ndarray]
     ``progress(done, total)`` is called after each top-level block; a
     frontier that never outgrows the size is one top-level block.
     """
-    steps = _plan(n, primitive_only)
+    steps = _plan(n, masks)
     k, x = _grow(steps, 0, np.zeros(1, dtype=np.uint64))
     tops = np.array_split(x, _TOP_BLOCKS) if k < len(steps) else [x]
     for done, top in enumerate(tops, 1):
@@ -117,13 +118,15 @@ def _blocks(n: int, primitive_only: bool, progress=None) -> Iterator[np.ndarray]
             progress(done, len(tops))
 
 
-def count(n: int, primitive_only: bool, progress=None) -> int:
-    """The number of consistent n-gon patterns; see ``count_consistent``."""
-    return sum(len(block) for block in _blocks(n, primitive_only, progress))
+def count(n: int, masks: tuple, progress=None) -> int:
+    """The number of n-gon patterns that contradict none of ``masks``; see
+    ``count_consistent``."""
+    return sum(len(block) for block in _blocks(n, masks, progress))
 
 
-def _sorted_bits(n: int, primitive_only: bool) -> np.ndarray:
-    """Every consistent n-gon pattern as one uint64 array, in increasing order.
+def _sorted_bits(n: int, masks: tuple) -> np.ndarray:
+    """Every n-gon pattern consistent with ``masks`` as one uint64 array, in
+    increasing order.
 
     Each block is copied into one array as it arrives; the array grows in
     place by a quarter when full and is trimmed at the end, so the patterns
@@ -131,7 +134,7 @@ def _sorted_bits(n: int, primitive_only: bool) -> np.ndarray:
     """
     bits = np.empty(0, dtype=np.uint64)
     size = 0
-    for block in _blocks(n, primitive_only):
+    for block in _blocks(n, masks):
         end = size + len(block)
         if end > len(bits):
             bits.resize(max(end, len(bits) * 5 // 4), refcheck=False)
@@ -142,22 +145,23 @@ def _sorted_bits(n: int, primitive_only: bool) -> np.ndarray:
     return bits
 
 
-def consistent_bits(n: int, primitive_only: bool) -> Iterator[int]:
-    """The bits of every consistent n-gon pattern, in increasing order,
-    turned into ints one slice at a time."""
-    bits = _sorted_bits(n, primitive_only)
+def consistent_bits(n: int, masks: tuple) -> Iterator[int]:
+    """The bits of every n-gon pattern consistent with ``masks``, in
+    increasing order, turned into ints one slice at a time."""
+    bits = _sorted_bits(n, masks)
     for start in range(0, len(bits), _BLOCK_ENTRIES):
         yield from bits[start : start + _BLOCK_ENTRIES].tolist()
 
 
-def write_consistent(n: int, primitive_only: bool, fh: BinaryIO) -> int:
-    """Write every consistent n-gon pattern to the binary file ``fh``, one
-    ``str(SignPattern)`` line each in increasing order; the number written.
+def write_consistent(n: int, masks: tuple, fh: BinaryIO) -> int:
+    """Write every n-gon pattern consistent with ``masks`` to the binary file
+    ``fh``, one ``str(SignPattern)`` line each in increasing order; the
+    number written.
 
     Each slice of patterns is unpacked into one bit per byte, chord k being
     column k, and mapped to its sign characters in a reused buffer.
     """
-    bits = _sorted_bits(n, primitive_only)
+    bits = _sorted_bits(n, masks)
     m = Polygon(n).chord_count
     lines = np.full((_WRITE_ROWS, m + 1), ord("\n"), dtype=np.uint8)
     for start in range(0, len(bits), _WRITE_ROWS):

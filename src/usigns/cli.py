@@ -17,6 +17,7 @@ from .relations import (
     URelation,
     _ENUMERATION_MAX_N,
     _check_enumerable,
+    _relation_masks,
     consistent_patterns,
     count_consistent,
     extended_relations,
@@ -41,13 +42,13 @@ EXIT_INCONSISTENT = 2
 EXIT_USAGE = 3
 
 # the solver's walk caches one transport table per transposition it swaps;
-# a cold solve of a random word (2 cores, Python 3.11) took 1.7 s and 138 MB
-# at n = 60, 6.8 s and 476 MB at n = 80, and 24 s and 1.8 GB at n = 100
+# a cold solve of a random word (2 cores, Python 3.11) took 3.4 s and 145 MB
+# at n = 60 and 10 s and 477 MB at n = 80
 _SOLVE_MAX_N = 60
 
-# sign-of builds its pattern one chord bit at a time on an n(n-3)/2-bit int;
-# a cold run on a random word (2 cores, Python 3.11) took 1.0 s and 69 MB at
-# n = 1000 and 3.9 s and 135 MB at n = 1500
+# sign-of holds its n(n-3)/2-bit pattern as one int and prints it as one
+# line; a cold run on a random word (2 cores, Python 3.11) took 0.6 s and
+# 69 MB at n = 1000 and 1.3 s and 135 MB at n = 1500
 _SIGN_OF_MAX_N = 1000
 
 
@@ -147,7 +148,8 @@ def cmd_count(args) -> int:
         from . import _enumeration
 
         with open(args.out, "wb") as fh:
-            count = _enumeration.write_consistent(args.n, args.primitive_only, fh)
+            masks = _relation_masks(args.n, args.primitive_only)
+            count = _enumeration.write_consistent(args.n, masks, fh)
     else:
         progress = None
         if args.n >= 9:
@@ -184,7 +186,7 @@ def cmd_solve(args) -> int:
     if args.n > _SOLVE_MAX_N:
         raise ValueError(
             f"solve supports n <= {_SOLVE_MAX_N}, got {args.n}: a cold solve takes "
-            f"about 2 s and 140 MB at n = 60, 7 s and 480 MB at n = 80"
+            f"about 3.4 s and 145 MB at n = 60, 10 s and 480 MB at n = 80"
         )
     poly = Polygon(args.n)
     pattern = _parse_pattern(poly, args.pattern)
@@ -218,7 +220,7 @@ def cmd_sign_of(args) -> int:
     if args.n > _SIGN_OF_MAX_N:
         raise ValueError(
             f"sign-of supports n <= {_SIGN_OF_MAX_N}, got {args.n}: a cold run takes "
-            f"about 1 s and 70 MB at n = 1000, 4 s and 135 MB at n = 1500"
+            f"about 0.6 s and 70 MB at n = 1000, 1.3 s and 135 MB at n = 1500"
         )
     poly = Polygon(args.n)
     word = _parse_word(poly, args.ordering)

@@ -134,11 +134,6 @@ class MonomialMap:
         return tuple((odd, _run_bits(runs)) for odd, runs in self._row_list)
 
 
-def identity_map(poly: Polygon, word: Sequence[int] | None = None) -> MonomialMap:
-    word = poly.identity_word if word is None else word
-    return MonomialMap(poly.n, word, word)
-
-
 def _corners(
     poly: Polygon, source: Sequence[int], target: Sequence[int]
 ) -> Iterator[tuple[int, int, int, int]]:
@@ -191,17 +186,6 @@ def _rows(
             num, den = a, b
         e1, e2 = (num == s) - (den == s), (num == q) - (den == q)
         yield _odd(a, b, c, e), _cut_runs(poly, p, q, r, s, e1, e2)
-
-
-def elementary_map(poly: Polygon, k: int) -> MonomialMap:
-    """Chart change for the adjacent transposition at positions k, k+1 mod n.
-
-    Source chart: the identity word with those two entries swapped; target:
-    the standard chart. Composing it with itself gives the identity map.
-    """
-    if not 1 <= k <= poly.n:
-        raise ValueError(f"position k must be in 1..{poly.n}, got {k}")
-    return map_for_transposition(poly, k, k % poly.n + 1)
 
 
 def compose(outer: MonomialMap, inner: MonomialMap) -> MonomialMap:

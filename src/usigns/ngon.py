@@ -173,18 +173,6 @@ def canonicalize(word: Sequence[int]) -> tuple[int, ...]:
     return word
 
 
-def dihedral_class(word: Sequence[int]) -> set[tuple[int, ...]]:
-    """All 2n rotations/reflections of a word."""
-    word = _check_permutation(word)
-    n = len(word)
-    out = set()
-    rev = tuple(reversed(word))
-    for w in (word, rev):
-        for r in range(n):
-            out.add(w[r:] + w[:r])
-    return out
-
-
 def all_orderings(poly: Polygon) -> Iterator[tuple[int, ...]]:
     """All (n-1)!/2 canonical dihedral orderings, lexicographically."""
     rest = range(2, poly.n + 1)
@@ -217,26 +205,6 @@ def compose_transposition(word: Sequence[int], x: int, y: int) -> tuple[int, ...
         raise ValueError(f"invalid transposition ({x} {y}) for n={n}")
     swap = {x: y, y: x}
     return tuple(swap.get(v, v) for v in word)
-
-
-def cyclic_intervals(poly: Polygon, cuts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Split 1..n into k cyclic intervals at k >= 4 increasing cut points.
-
-    Interval m runs from cuts[m] to cuts[m+1]-1; the last wraps around to
-    cuts[0]-1. Intervals are nonempty, disjoint, and cover 1..n.
-    """
-    cuts = tuple(cuts)
-    n = poly.n
-    if len(cuts) < 4:
-        raise ValueError("need at least 4 cut points")
-    if list(cuts) != sorted(set(cuts)) or cuts[0] < 1 or cuts[-1] > n:
-        raise ValueError(f"cut points must be strictly increasing in 1..{n}")
-    out = []
-    for m, a in enumerate(cuts):
-        b = cuts[(m + 1) % len(cuts)]
-        size = (b - a) % n
-        out.append(tuple(poly.wrap(a + t) for t in range(size)))
-    return tuple(out)
 
 
 def _cut_runs(

@@ -255,15 +255,3 @@ def standard_gauge(config: PointConfig, zero: int, one: int, infinity: int) -> P
         )
     )
 
-
-def transformed(config: PointConfig, matrix: Sequence[Sequence[Fraction]]) -> PointConfig:
-    """Act on homogeneous coordinates by an invertible 2x2 rational matrix."""
-    (a, b), (c, d) = matrix
-    if a * d - b * c == 0:
-        raise ValueError("matrix is singular")
-    return PointConfig(
-        tuple(
-            ProjectivePoint(a * p.x + b * p.y, c * p.x + d * p.y)
-            for p in config.points
-        )
-    )

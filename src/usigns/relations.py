@@ -1,4 +1,4 @@
-"""Primitive and extended u-relations, consistency, enumeration, coarsening.
+"""Primitive and extended u-relations, consistency and enumeration.
 
 Every relation says "product of one chord set plus product of another equals
 one". A sign pattern contradicts a relation exactly when both products come
@@ -6,9 +6,10 @@ out negative (two negative reals cannot sum to 1; every other sign combination
 is achievable), and is consistent when it contradicts no extended relation.
 
 Counting and streaming the consistent patterns run on numpy in
-``_enumeration``, one frontier enumerator for both relation sets that checks
-each relation of the shared mask table once, when its last chord is set. It
-is imported on first use: nothing else in the package needs numpy.
+``_enumeration``, one frontier enumerator over a tuple of relation masks that
+checks each relation once, when its last chord is set; ``_relation_masks`` is
+the one place that turns the relation set chosen into that tuple. The
+enumerator is imported on first use: nothing else in the package needs numpy.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .ngon import Chord, Polygon, crossing_chords, cyclic_intervals
+from .ngon import Chord, Polygon, crossing_chords
 from .ngon import _cut_runs, _run_bits
 from .patterns import SignPattern
 
@@ -107,23 +108,6 @@ def _relation_masks(n: int, primitive_only: bool) -> tuple[tuple[int, int], ...]
     return tuple(masks)
 
 
-def contradicts(pattern: SignPattern, relation: URelation) -> bool:
-    """Whether both terms of the relation are negative under the pattern.
-
-    The sign of a product is the parity of its negative factors.
-    """
-    if pattern.n != relation.n:
-        raise ValueError(
-            f"pattern is for n={pattern.n}, relation for n={relation.n}"
-        )
-    poly = Polygon(relation.n)
-    m1 = poly.mask(relation.t1)
-    m2 = poly.mask(relation.t2)
-    return bool((pattern.bits & m1).bit_count() & 1) and bool(
-        (pattern.bits & m2).bit_count() & 1
-    )
-
-
 def is_consistent(poly: Polygon, pattern: SignPattern, primitive_only: bool = False) -> bool:
     """Whether no (extended) u-relation has both terms negative."""
     if pattern.n != poly.n:
@@ -165,7 +149,7 @@ def count_consistent(
     _check_enumerable(poly.n)
     from . import _enumeration
 
-    return _enumeration.count(poly.n, primitive_only, progress)
+    return _enumeration.count(poly.n, _relation_masks(poly.n, primitive_only), progress)
 
 
 def consistent_patterns(poly: Polygon, primitive_only: bool = False) -> Iterator[SignPattern]:
@@ -178,26 +162,6 @@ def consistent_patterns(poly: Polygon, primitive_only: bool = False) -> Iterator
     _check_enumerable(poly.n, primitive_only)
     from . import _enumeration
 
-    for b in _enumeration.consistent_bits(poly.n, primitive_only):
+    for b in _enumeration.consistent_bits(poly.n, _relation_masks(poly.n, primitive_only)):
         yield SignPattern(poly.n, b)
 
-
-def coarsen(poly: Polygon, cuts: Sequence[int], pattern: SignPattern) -> SignPattern:
-    """Project a sign pattern onto the k-gon of a k-interval cyclic partition.
-
-    The k-gon chord between intervals I and J inherits the parity of the
-    negative chords among {i, j}, i in I, j in J (all such pairs are chords
-    of the n-gon because I and J are non-adjacent). Coarsening a consistent
-    pattern yields a consistent pattern on the smaller polygon.
-    """
-    if pattern.n != poly.n:
-        raise ValueError(f"pattern is for n={pattern.n}, polygon has n={poly.n}")
-    intervals = cyclic_intervals(poly, cuts)
-    k = len(intervals)
-    small = Polygon(k)
-    bits = 0
-    for idx, (p, q) in enumerate(small.chords):
-        mask = poly.mask((i, j) for i in intervals[p - 1] for j in intervals[q - 1])
-        if (pattern.bits & mask).bit_count() & 1:
-            bits |= 1 << idx
-    return SignPattern(k, bits)

@@ -50,8 +50,8 @@ def sign_of_ordering(poly: Polygon, word: Sequence[int]) -> SignPattern:
     of ``word``, so the pattern depends only on the word's dihedral class.
     """
     word = _check_permutation(word, poly.n)
-    bits = 0
-    for k, corners in enumerate(_corners(poly, poly.identity_word, word)):
-        if _odd(*corners):
-            bits |= 1 << k
-    return SignPattern(poly.n, bits)
+    # one ASCII digit per chord, read last chord first as one base-2 int:
+    # setting m bits one at a time on an m-bit int costs O(m^2)
+    corners = _corners(poly, poly.identity_word, word)
+    digits = bytes(48 + _odd(*c) for c in corners)
+    return SignPattern(poly.n, int(digits[::-1], 2))

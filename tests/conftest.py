@@ -4,9 +4,18 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from usigns import Polygon, SignedMonomial, SignPattern, URelation, consistent_patterns
-from usigns.ngon import cyclic_intervals
-from usigns.points import PointConfig
+from typing import Sequence
+
+from usigns import (
+    PointConfig,
+    Polygon,
+    ProjectivePoint,
+    SignedMonomial,
+    SignPattern,
+    URelation,
+    consistent_patterns,
+)
+from usigns.ngon import _check_permutation
 
 # the twelve ordering/pattern pairs of the pentagon, signs over
 # (u13, u14, u24, u25, u35)
@@ -34,6 +43,89 @@ def consistent_bits(n: int, primitive_only: bool = False) -> frozenset[int]:
     poly = Polygon(n)
     return frozenset(
         p.bits for p in consistent_patterns(poly, primitive_only=primitive_only)
+    )
+
+
+def cyclic_intervals(poly: Polygon, cuts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Split 1..n into k cyclic intervals at k >= 4 increasing cut points.
+
+    Interval m runs from cuts[m] to cuts[m+1]-1; the last wraps around to
+    cuts[0]-1. Intervals are nonempty, disjoint, and cover 1..n.
+    """
+    cuts = tuple(cuts)
+    n = poly.n
+    if len(cuts) < 4:
+        raise ValueError("need at least 4 cut points")
+    if list(cuts) != sorted(set(cuts)) or cuts[0] < 1 or cuts[-1] > n:
+        raise ValueError(f"cut points must be strictly increasing in 1..{n}")
+    out = []
+    for m, a in enumerate(cuts):
+        b = cuts[(m + 1) % len(cuts)]
+        size = (b - a) % n
+        out.append(tuple(poly.wrap(a + t) for t in range(size)))
+    return tuple(out)
+
+
+def dihedral_class(word: Sequence[int]) -> set[tuple[int, ...]]:
+    """All 2n rotations/reflections of a word."""
+    word = _check_permutation(word)
+    n = len(word)
+    out = set()
+    rev = tuple(reversed(word))
+    for w in (word, rev):
+        for r in range(n):
+            out.add(w[r:] + w[:r])
+    return out
+
+
+def contradicts(pattern: SignPattern, relation: URelation) -> bool:
+    """Whether both terms of the relation are negative under the pattern.
+
+    The sign of a product is the parity of its negative factors.
+    """
+    if pattern.n != relation.n:
+        raise ValueError(
+            f"pattern is for n={pattern.n}, relation for n={relation.n}"
+        )
+    poly = Polygon(relation.n)
+    m1 = poly.mask(relation.t1)
+    m2 = poly.mask(relation.t2)
+    return bool((pattern.bits & m1).bit_count() & 1) and bool(
+        (pattern.bits & m2).bit_count() & 1
+    )
+
+
+def coarsen(poly: Polygon, cuts: Sequence[int], pattern: SignPattern) -> SignPattern:
+    """Project a sign pattern onto the k-gon of a k-interval cyclic partition.
+
+    The k-gon chord between intervals I and J inherits the parity of the
+    negative chords among {i, j}, i in I, j in J (all such pairs are chords
+    of the n-gon because I and J are non-adjacent). Coarsening a consistent
+    pattern yields a consistent pattern on the smaller polygon.
+    """
+    if pattern.n != poly.n:
+        raise ValueError(f"pattern is for n={pattern.n}, polygon has n={poly.n}")
+    intervals = cyclic_intervals(poly, cuts)
+    k = len(intervals)
+    small = Polygon(k)
+    bits = 0
+    for idx, (p, q) in enumerate(small.chords):
+        mask = poly.mask((i, j) for i in intervals[p - 1] for j in intervals[q - 1])
+        if (pattern.bits & mask).bit_count() & 1:
+            bits |= 1 << idx
+    return SignPattern(k, bits)
+
+
+def transformed(config: PointConfig, matrix: Sequence[Sequence[Fraction]]) -> PointConfig:
+    """Act on homogeneous coordinates by an invertible 2x2 rational matrix."""
+    (a, b), (c, d) = matrix
+    if a * d - b * c == 0:
+        raise ValueError("matrix is singular")
+    return PointConfig(
+        tuple(
+            ProjectivePoint(a * p.x + b * p.y, c * p.x + d * p.y)
+            for p in config.points
+        )
     )
 
 

@@ -14,9 +14,7 @@ from usigns import (
     SignedMonomial,
     all_orderings,
     compose,
-    elementary_map,
     evaluate,
-    identity_map,
     invert,
     map_for_ordering,
     map_for_transposition,
@@ -48,7 +46,7 @@ def test_signed_monomial_basics():
 
 def test_identity_map():
     poly = Polygon(5)
-    ident = identity_map(poly)
+    ident = MonomialMap(5, poly.identity_word, poly.identity_word)
     assert ident.is_identity()
     assert ident.render().splitlines()[0] == "u[1,3] -> u[1,3]"
 
@@ -57,7 +55,7 @@ def test_elementary_map_k1_formulas():
     # the swap of the first two labels, written out chord by chord
     for n in (6, 7, 8):
         poly = Polygon(n)
-        m = elementary_map(poly, 1)
+        m = map_for_transposition(poly, 1, 2)
         assert m.source == (2, 1) + tuple(range(3, n + 1))
         for i in range(3, n):
             assert m.image((1, i)) == u(1, ((1, i), -1))
@@ -74,7 +72,7 @@ def test_elementary_map_k1_formulas():
 
 def test_elementary_map_wraparound():
     poly = Polygon(6)
-    m = elementary_map(poly, 6)  # swaps positions 6 and 1
+    m = map_for_transposition(poly, 6, 1)
     assert m.source == (6, 2, 3, 4, 5, 1)
     # {5,1} spans position 6, so it is the sign-flipping case
     assert m.image((1, 5)) == u(
@@ -90,19 +88,20 @@ def test_elementary_map_is_involutive():
     for n in (4, 5, 6, 7, 8):
         poly = Polygon(n)
         for k in range(1, n + 1):
-            e = elementary_map(poly, k)
+            e = map_for_transposition(poly, k, k % n + 1)
             assert invert(e).images == e.images
 
 
 def test_compose_chart_checks():
     poly = Polygon(5)
-    e1 = elementary_map(poly, 1)
-    e2 = elementary_map(poly, 2)
+    e1 = map_for_transposition(poly, 1, 2)
+    e2 = map_for_transposition(poly, 2, 3)
     with pytest.raises(ChartMismatchError):
         compose(e1, e2)
     with pytest.raises(ChartMismatchError):
-        compose(e1, elementary_map(Polygon(6), 1))
-    assert compose(identity_map(poly), e1).images == e1.images
+        compose(e1, map_for_transposition(Polygon(6), 1, 2))
+    ident = MonomialMap(5, poly.identity_word, poly.identity_word)
+    assert compose(ident, e1).images == e1.images
 
 
 def test_map_for_ordering_identity():
@@ -130,7 +129,9 @@ def test_map_for_ordering_pentagon_example():
 def test_map_for_transposition_adjacent_is_elementary():
     for n in (5, 6):
         poly = Polygon(n)
-        assert map_for_transposition(poly, 1, 2).images == elementary_map(poly, 1).images
+        m = map_for_transposition(poly, 1, 2)
+        assert m.images == reference_elementary_images(poly, 1)
+        assert map_for_transposition(poly, 2, 1) == m
         with pytest.raises(ValueError):
             map_for_transposition(poly, 2, 2)
 
@@ -184,7 +185,7 @@ def test_invert_roundtrip(n):
 
 def test_invert_identity():
     poly = Polygon(6)
-    assert invert(identity_map(poly)).is_identity()
+    assert invert(MonomialMap(6, poly.identity_word, poly.identity_word)).is_identity()
 
 
 def test_invert_golden():
@@ -237,10 +238,11 @@ def test_evaluate_preserves_relations():
 def test_evaluate_identity_and_zero_rejection():
     poly = Polygon(5)
     vals = u_values(realize(poly, poly.identity_word))
-    assert evaluate(identity_map(poly), vals) == vals
+    ident = MonomialMap(5, poly.identity_word, poly.identity_word)
+    assert evaluate(ident, vals) == vals
     vals[(1, 3)] = vals[(1, 3)] * 0
     with pytest.raises(ValueError):
-        evaluate(identity_map(poly), vals)
+        evaluate(ident, vals)
 
 
 def test_render_golden():
@@ -261,7 +263,7 @@ def test_render_golden():
 def test_elementary_map_matches_five_case_formula(n):
     poly = Polygon(n)
     for k in range(1, n + 1):
-        m = elementary_map(poly, k)
+        m = map_for_transposition(poly, k, k % n + 1)
         swapped = list(poly.identity_word)
         swapped[k - 1], swapped[k % n] = swapped[k % n], swapped[k - 1]
         assert (m.source, m.target) == (tuple(swapped), poly.identity_word)

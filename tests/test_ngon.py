@@ -18,10 +18,10 @@ from usigns import (
     compose_transposition,
     crosses,
     crossing_chords,
-    cyclic_intervals,
-    dihedral_class,
     ordering_count,
 )
+
+from conftest import cyclic_intervals, dihedral_class
 
 
 def test_polygon_validation():

@@ -23,9 +23,9 @@ from usigns import (
     signs_from_points,
     u_values,
 )
-from usigns.points import standard_gauge, transformed
+from usigns.points import standard_gauge
 
-from conftest import random_config
+from conftest import random_config, transformed
 
 
 def test_projective_point_canonical_form():

@@ -11,9 +11,6 @@ from usigns import (
     Polygon,
     SignPattern,
     all_orderings,
-    dihedral_class,
-    elementary_map,
-    identity_map,
     invert,
     is_consistent,
     map_for_ordering,
@@ -29,6 +26,7 @@ from usigns.signs import _transport_bits, _transposition_table
 from conftest import (
     PENTAGON_TABLE,
     consistent_bits,
+    dihedral_class,
     reference_elementary_images,
     rotate_pattern,
     table_from_images,
@@ -100,12 +98,12 @@ def reference_transposition_table(n, p, q):
 def test_transport_identity():
     poly = Polygon(6)
     s = SignPattern.from_string(6, "-+-++-+--")
-    assert transport(s, identity_map(poly)) == s
+    assert transport(s, MonomialMap(6, poly.identity_word, poly.identity_word)) == s
 
 
 def test_transport_size_mismatch():
     with pytest.raises(ValueError):
-        transport(SignPattern.all_plus(5), identity_map(Polygon(6)))
+        transport(SignPattern.all_plus(5), MonomialMap(6, (1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6)))
 
 
 def test_transport_all_minus_pentagon():
@@ -121,7 +119,7 @@ def test_transport_spanning_chord_turns_positive(n):
     # new chart's {n,1}-chord (positionally {n,2}) is positive
     poly = Polygon(n)
     s = SignPattern.from_negative_chords(n, [(2, n)])
-    t = transport(s, elementary_map(poly, 1))
+    t = transport(s, map_for_transposition(poly, 1, 2))
     assert t.sign((2, n)) == 1
 
 

@@ -9,6 +9,7 @@ from usigns import (
     InconsistentPatternError,
     IntransitiveOrderError,
     IterationLimitError,
+    MonomialMap,
     Polygon,
     SignMatrix,
     SignPattern,
@@ -16,7 +17,6 @@ from usigns import (
     canonicalize,
     compose,
     compose_transposition,
-    identity_map,
     invert,
     is_consistent,
     map_for_ordering,
@@ -115,7 +115,7 @@ def test_solve_builds_no_monomials(n, monkeypatch):
     monkeypatch.setattr(monomial, "SignedMonomial", refuse)
     assert solve(poly, pattern)[0] == canonicalize(word)
     m = map_for_ordering(poly, word)
-    assert compose(invert(m), m) == identity_map(poly, word)
+    assert compose(invert(m), m) == MonomialMap(n, word, word)
     assert transport(pattern, m).is_all_plus()
 
 
