@@ -31,10 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from typing import Iterator, Mapping, Sequence
 
 from .ngon import Chord, Polygon, _check_permutation, compose_transposition
 from .ngon import _cut_runs, _run_bits
+from .points import _nonzero_values
 
 Word = tuple[int, ...]
 
@@ -228,23 +230,16 @@ def evaluate(m: MonomialMap, vals: Mapping[Chord, Fraction]) -> dict[Chord, Frac
     """Evaluate the map at nonzero target-chart values.
 
     Returns the value of every source chord: sign times the product of the
-    target values raised to the image exponents, in exact arithmetic.
+    target values raised to the image exponents, in exact arithmetic on
+    integer numerators and denominators, one run of chords at a time.
     """
-    chords = m.poly.chords
-    parts = {}
-    for c in chords:
-        v = Fraction(vals[c])
-        if v == 0:
-            raise ValueError(f"value of chord {c} is zero")
-        parts[c] = (v.numerator, v.denominator)
+    given = _nonzero_values(m.poly, vals)
+    nums, dens = [v.numerator for v in given], [v.denominator for v in given]
     out = {}
-    for c, mono in zip(chords, m.images):
-        num, den = mono.sign, 1
-        for d, e in mono.powers:
-            p, q = parts[d]
-            if e < 0:
-                p, q, e = q, p, -e
-            num *= p**e
-            den *= q**e
-        out[c] = Fraction(num, den)
+    for c, (odd, runs) in zip(m.poly.chords, m._row_list):
+        top, bottom = -1 if odd else 1, 1
+        for k, size, x in runs:
+            p, q = prod(nums[k:k + size]), prod(dens[k:k + size])
+            top, bottom = (top * p, bottom * q) if x > 0 else (top * q, bottom * p)
+        out[c] = Fraction(top, bottom)
     return out

@@ -211,6 +211,16 @@ def relations_vanish(poly: Polygon, vals: Mapping[Chord, Fraction]) -> bool:
     return True
 
 
+def _nonzero_values(poly: Polygon, vals: Mapping[Chord, Fraction]) -> list[Fraction]:
+    """The value of every chord, in chord order, as a nonzero Fraction;
+    a Fraction is passed through as it is."""
+    out = [vals[c] for c in poly.chords]
+    out = [v if isinstance(v, Fraction) else Fraction(v) for v in out]
+    if not all(out):
+        raise ValueError(f"value of chord {poly.chords[out.index(0)]} is zero")
+    return out
+
+
 def points_from_u(poly: Polygon, vals: Mapping[Chord, Fraction]) -> PointConfig:
     """Invert the dihedral embedding under the gauge z1=0, z2=1, zn=infinity.
 
@@ -220,22 +230,18 @@ def points_from_u(poly: Polygon, vals: Mapping[Chord, Fraction]) -> PointConfig:
     exactly when the walked points are distinct and have the given u-values.
     Raises RelationViolationError otherwise, and ValueError on a zero value.
     """
-    given = {}
-    for c in poly.chords:
-        v = given[c] = Fraction(vals[c])
-        if v == 0:
-            raise ValueError(f"u-value of chord {c} is zero")
-    n = poly.n
-    values: list = [Fraction(0), Fraction(1)]
+    given = _nonzero_values(poly, vals)
+    n, index = poly.n, poly.pair_index
+    values = [_ZERO, _ONE]
     for i in range(2, n - 1):
-        values.append(values[-1] / given[(i, n)])
-    values.append("inf")
+        values.append(values[-1] / given[index[i][n]])
+    points = tuple(ProjectivePoint._canonical(_ONE, v) for v in values)
     try:
-        config = PointConfig.from_values(values)
+        config = PointConfig(points + (ProjectivePoint.infinity(),))
     except ValueError as exc:  # two walked points coincide
         raise RelationViolationError(_VIOLATION) from exc
     # num/den == p/q on integers, as in u_values but without normalising
-    terms = zip(_u_terms(config), given.values())
+    terms = zip(_u_terms(config), given)
     if any(num * v.denominator != den * v.numerator for (num, den), v in terms):
         raise RelationViolationError(_VIOLATION)
     return config
@@ -245,13 +251,16 @@ def standard_gauge(config: PointConfig, zero: int, one: int, infinity: int) -> P
     """Apply the projective map sending three labeled points to 0, 1, infinity."""
     # integer determinants in place of Plucker coordinates: both coordinates
     # of an image would be divided by the same four point scales
+    if len({zero, one, infinity}) != 3:
+        raise ValueError(f"labels must be pairwise distinct, got {(zero, one, infinity)}")
     d = config._dets
     z, o, f = zero - 1, one - 1, infinity - 1
     scale_num, scale_den = d[z][o], d[f][o]
+    # (x : y) = (d_fk * scale_num : d_zk * scale_den), built canonical once
     return PointConfig(
         tuple(
-            ProjectivePoint(d[f][k] * scale_num, d[z][k] * scale_den)
+            ProjectivePoint._canonical(_ONE, Fraction(d[z][k] * scale_den, d[f][k] * scale_num))
+            if d[f][k] else ProjectivePoint.infinity()
             for k in range(config.n)
         )
     )
-

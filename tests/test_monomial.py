@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from usigns import (
     ChartMismatchError,
     MonomialMap,
+    PointConfig,
     Polygon,
     SignedMonomial,
     all_orderings,
@@ -25,9 +26,10 @@ from usigns import (
     transport,
     u_values,
 )
+from usigns import monomial
 from usigns.points import standard_gauge
 
-from conftest import label_chord, reference_elementary_images
+from conftest import label_chord, random_config, reference_elementary_images
 
 
 def u(sign, *factors):
@@ -392,6 +394,72 @@ def test_evaluate_negative_rationals_and_ints():
     golden = map_for_ordering(Polygon(5), (1, 4, 2, 5, 3))  # see test_render_golden
     vals = {c: -2 for c in Polygon(5).chords}
     assert evaluate(golden, vals)[(1, 3)] == Fraction(1, 2)  # -(-2) * (-2)^-1 * (-2)^-1
+
+
+@pytest.mark.parametrize("n", [8, 10, 12, 30])
+def test_evaluate_builds_no_monomials(n, monkeypatch):
+    # evaluate multiplies the chord runs of the chart-change rows; only
+    # images, image, render and is_identity build monomials
+    def refuse(*args):
+        raise AssertionError("built a SignedMonomial")
+
+    poly = Polygon(n)
+    rng = random.Random(1700 + n)
+    base = random_config(rng, n, with_infinity=True)
+    vals = u_values(base)
+    monkeypatch.setattr(monomial, "SignedMonomial", refuse)
+    for _ in range(3):
+        word = tuple(rng.sample(range(1, n + 1), n))
+        out = evaluate(map_for_ordering(poly, word), vals)
+        assert out == u_values(base.permuted(word))
+        assert all(type(v) is Fraction for v in out.values())
+
+
+def test_values_read_alike_as_ints_and_fractions():
+    # evaluate and points_from_u share one reader of nonzero chord values
+    square = {(1, 3): -1, (2, 4): 2}  # z = 0, 1, 1/2, infinity
+    expected = PointConfig.from_values([0, 1, Fraction(1, 2), "inf"])
+    for vals in (square, {c: Fraction(v) for c, v in square.items()}):
+        assert points_from_u(Polygon(4), vals) == expected
+    for n in (5, 8):
+        poly = Polygon(n)
+        rng = random.Random(1710 + n)
+        m = map_for_ordering(poly, tuple(rng.sample(range(1, n + 1), n)))
+        ints = {c: rng.choice([-3, -2, -1, 1, 2, 5]) for c in poly.chords}
+        fractions = {c: Fraction(v) for c, v in ints.items()}
+        assert evaluate(m, ints) == evaluate(m, fractions)
+        mixed = {
+            c: int(v) if v.denominator == 1 else v
+            for c, v in u_values(random_config(rng, n, with_infinity=True)).items()
+        }
+        exact = {c: Fraction(v) for c, v in mixed.items()}
+        assert evaluate(m, mixed) == evaluate(m, exact)
+        assert points_from_u(poly, mixed) == points_from_u(poly, exact)
+        for zero in (0, Fraction(0)):
+            bad = dict(fractions)
+            bad[(2, 4)] = bad[(3, 5)] = zero  # the first in chord order is named
+            with pytest.raises(ValueError, match=r"^value of chord \(2, 4\) is zero$"):
+                evaluate(m, bad)
+            with pytest.raises(ValueError, match=r"^value of chord \(2, 4\) is zero$"):
+                points_from_u(poly, bad)
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+def test_chart_change_round_trip_past_property_range(n):
+    # seeded placements with negative rationals and one infinite point, at
+    # sizes past the hypothesis strategy below
+    poly = Polygon(n)
+    rng = random.Random(1300 + n)
+    for _ in range(2):
+        word = tuple(rng.sample(range(1, n + 1), n))
+        base = random_config(rng, n, with_infinity=True)
+        moved = base.permuted(word)
+        m = map_for_ordering(poly, word)
+        assert compose(m, invert(m)).is_identity()
+        assert transport(sign_of_ordering(poly, word), m).is_all_plus()
+        values = evaluate(m, u_values(base))
+        assert values == u_values(moved)
+        assert points_from_u(poly, values) == standard_gauge(moved, 1, 2, n)
 
 
 _chart_settings = settings(max_examples=25, derandomize=True, deadline=None, database=None)

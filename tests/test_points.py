@@ -334,6 +334,39 @@ def test_points_from_u_roundtrip(n):
         assert points_from_u(poly, vals).points == gauged.points
 
 
+def reference_standard_gauge(config, zero, one, infinity):
+    """The gauge built with the public constructor, which canonicalizes."""
+    d = config._dets
+    z, o, f = zero - 1, one - 1, infinity - 1
+    return PointConfig(
+        tuple(ProjectivePoint(d[f][k] * d[z][o], d[z][k] * d[f][o]) for k in range(config.n))
+    )
+
+
+def test_standard_gauge_matches_public_constructor():
+    rng = random.Random(3700)
+    cases = [
+        (config, triple)
+        for config in (random_config(rng, 5, with_infinity=True) for _ in range(3))
+        for triple in itertools.permutations(range(1, 6), 3)
+    ]
+    for n in range(8, 13):
+        for _ in range(6):
+            config = random_config(rng, n, with_infinity=True)
+            cases.append((config, tuple(rng.sample(range(1, n + 1), 3))))
+    for config, triple in cases:
+        gauged = standard_gauge(config, *triple)
+        reference = reference_standard_gauge(config, *triple)
+        assert gauged == reference and hash(gauged) == hash(reference)
+        for p, q in zip(gauged.points, reference.points):
+            assert (p.x, p.y) == (q.x, q.y) and hash(p) == hash(q)
+            assert type(p.x) is type(p.y) is Fraction
+    config = random_config(rng, 6)
+    for triple in ((1, 1, 2), (1, 2, 2), (2, 1, 2)):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            standard_gauge(config, *triple)
+
+
 def test_standard_gauge_fixes_three_points():
     rng = random.Random(5)
     config = random_config(rng, 6)
