@@ -340,7 +340,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("relations", help="list the u-relations of the n-gon")
     p.add_argument("n", type=int)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--extended", action="store_true", default=True)
+    group.add_argument("--extended", action="store_false", dest="primitive", default=False)
     group.add_argument("--primitive", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_relations)

@@ -76,13 +76,13 @@ class SignPattern:
 def stats(pattern: SignPattern) -> tuple[int, int | None]:
     """(number of negative chords, length of the shortest one or None).
 
-    This is the invariant pair the ordering solver drives down.
+    The pair the ordering solver drives down, read off the one picker.
     """
     bits = pattern.bits
     if not bits:
         return 0, None
-    lengths = Polygon(pattern.n).lengths
-    return bits.bit_count(), min(d for k, d in enumerate(lengths) if bits >> k & 1)
+    a, b = shortest_negative(pattern)
+    return bits.bit_count(), (b - a) % pattern.n
 
 
 def shortest_negative(pattern: SignPattern) -> tuple[int, int]:

@@ -30,6 +30,14 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 _VIOLATION = "u-values do not satisfy the u-relations"
 
 
+def _indices(n: int, labels: Sequence[int]) -> list[int]:
+    """0-based indices of ``labels``; one outside 1..n is a one-line ValueError."""
+    for v in labels:
+        if not 1 <= v <= n:
+            raise ValueError(f"label {v} is not in 1..{n}")
+    return [v - 1 for v in labels]
+
+
 @dataclass(frozen=True)
 class ProjectivePoint:
     """A point (x : y) of P^1 with exact rational coordinates.
@@ -137,11 +145,11 @@ class PointConfig:
         return len(self.points)
 
     def point(self, label: int) -> ProjectivePoint:
-        return self.points[label - 1]
+        return self.points[_indices(self.n, (label,))[0]]
 
     def permuted(self, word: Sequence[int]) -> "PointConfig":
         """Config whose k-th point is the point labeled word[k]."""
-        idx = [v - 1 for v in word]
+        idx = _indices(self.n, word)
         rows = self._dets
         return PointConfig._from_table(
             tuple(self.points[a] for a in idx),
@@ -172,7 +180,7 @@ def cross_ratio(config: PointConfig, i: int, j: int, k: int, l: int) -> Fraction
     if len({i, j, k, l}) != 4:
         raise ValueError(f"indices must be pairwise distinct, got {(i, j, k, l)}")
     d = config._dets
-    i, j, k, l = i - 1, j - 1, k - 1, l - 1
+    i, j, k, l = _indices(config.n, (i, j, k, l))
     return Fraction(d[i][k] * d[j][l], d[i][l] * d[j][k])
 
 
@@ -254,7 +262,7 @@ def standard_gauge(config: PointConfig, zero: int, one: int, infinity: int) -> P
     if len({zero, one, infinity}) != 3:
         raise ValueError(f"labels must be pairwise distinct, got {(zero, one, infinity)}")
     d = config._dets
-    z, o, f = zero - 1, one - 1, infinity - 1
+    z, o, f = _indices(config.n, (zero, one, infinity))
     scale_num, scale_den = d[z][o], d[f][o]
     # (x : y) = (d_fk * scale_num : d_zk * scale_den), built canonical once
     return PointConfig(

@@ -50,6 +50,12 @@ def test_relations_hexagon_counts(capsys):
     assert "u[1,4] + u[2,5]*u[2,6]*u[3,5]*u[3,6] = 1" in lines
     code, out, _ = run(capsys, "relations", "6", "--extended")
     assert len(out.strip().splitlines()) == 15
+    # --extended sets the mode it names, the default, and excludes --primitive
+    assert run(capsys, "relations", "6") == (code, out, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["relations", "6", "--extended", "--primitive"])
+    assert exc.value.code == 3
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_relations_json(capsys):

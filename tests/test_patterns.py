@@ -76,3 +76,48 @@ def test_shortest_negative_orientation():
     # diameter ties pick the smaller first endpoint
     s = SignPattern.from_negative_chords(6, [(2, 5)])
     assert shortest_negative(s) == (2, 5)
+
+
+def _brute_force_pick(pattern: SignPattern) -> tuple[int, int]:
+    # every orientation of every negative chord that runs along a shortest arc
+    poly, n = Polygon(pattern.n), pattern.n
+    lengths = {c: poly.chord_length(c) for c in pattern.negatives()}
+    shortest = min(lengths.values())
+    return min(
+        (a, b)
+        for (i, j), d in lengths.items()
+        if d == shortest
+        for a, b in ((i, j), (j, i))
+        if (b - a) % n == d
+    )
+
+
+def _picker_inputs():
+    for n in range(4, 8):
+        for bits in range(1 << Polygon(n).chord_count):
+            yield SignPattern(n, bits)
+    rng = random.Random(1814)
+    for n in range(8, 15):
+        m = Polygon(n).chord_count
+        for _ in range(300):
+            # sparse draws too, so that the shortest negative is often long
+            density = rng.choice((1, 2, 4))
+            bits = rng.getrandbits(m)
+            for _ in range(density - 1):
+                bits &= rng.getrandbits(m)
+            yield SignPattern(n, bits)
+
+
+def test_one_picker_matches_brute_force():
+    checked = 0
+    for pattern in _picker_inputs():
+        negatives = pattern.negatives()
+        if not negatives:
+            assert stats(pattern) == (0, None)
+            continue
+        poly = Polygon(pattern.n)
+        shortest = min(poly.chord_length(c) for c in negatives)
+        assert stats(pattern) == (len(negatives), shortest)
+        assert shortest_negative(pattern) == _brute_force_pick(pattern)
+        checked += 1
+    assert checked > 16384

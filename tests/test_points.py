@@ -375,3 +375,21 @@ def test_standard_gauge_fixes_three_points():
     assert gauged.point(2).value() == 1
     assert gauged.point(6).is_infinite()
     assert u_values(gauged) == u_values(config)
+
+
+def test_labels_outside_one_to_n_rejected():
+    # label 0 used to read point n, and n + 1 raised a bare IndexError
+    n = 5
+    config = PointConfig.from_values([0, 1, 3, 7, "inf"])
+    for bad in (0, -1, n + 1):
+        message = rf"label {bad} is not in 1\.\.{n}"
+        with pytest.raises(ValueError, match=message):
+            config.point(bad)
+        with pytest.raises(ValueError, match=message):
+            config.permuted((bad, 1, 2, 3, 4))
+        with pytest.raises(ValueError, match=message):
+            cross_ratio(config, bad, 1, 2, 3)
+        with pytest.raises(ValueError, match=message):
+            standard_gauge(config, bad, 1, 2)
+    assert config.point(n).is_infinite()
+    assert config.permuted((5, 4, 3, 2, 1)).point(1).is_infinite()

@@ -24,11 +24,12 @@ from usigns import (
     ordering_from_sign_matrix,
     realize,
     reconstruct_sign_matrix,
+    shortest_negative,
     sign_of_ordering,
     solve,
     transport,
 )
-from usigns import monomial, relations
+from usigns import monomial, relations, solver
 from usigns.signs import _transposition_table
 from usigns.points import standard_gauge
 
@@ -171,22 +172,54 @@ def test_solve_tie_break_independent_result(n):
     assert ties > 0
 
 
+def test_walk_reads_each_state_once(monkeypatch):
+    # one pick per state drives its swap and fills its min_length; the walk
+    # neither rescans a state through stats nor rebuilds its word
+    def refuse(*args):
+        raise AssertionError("the walk called a second reader")
+
+    calls = []
+
+    def counted(pattern):
+        calls.append(pattern)
+        return shortest_negative(pattern)
+
+    monkeypatch.setattr(solver, "stats", refuse)
+    monkeypatch.setattr(solver, "compose_transposition", refuse, raising=False)
+    monkeypatch.setattr(solver, "shortest_negative", counted)
+    rng = random.Random(1800)
+    for n in range(8, 13):
+        poly = Polygon(n)
+        for _ in range(20):
+            word = tuple(rng.sample(range(1, n + 1), n))
+            calls.clear()
+            found, trace = solve(poly, sign_of_ordering(poly, word))
+            assert found == canonicalize(word)
+            assert len(calls) == trace.iterations > 0
+            assert calls == [trace.initial] + [s.pattern for s in trace.steps[:-1]]
+        calls.clear()
+        assert solve(poly, SignPattern.all_plus(n))[1].iterations == 0
+        assert calls == []
+
+
 def test_solve_incremental_matches_from_scratch():
     # the loop transports through one transposition at a time; rebuilding the
-    # full chart change from the accumulated word must agree at every step
-    poly = Polygon(6)
+    # full chart change from the accumulated word must agree at every step,
+    # and replaying the swaps on labels must give the word swapped in place
     rng = random.Random(17)
-    sample = rng.sample(sorted(consistent_bits(6)), 20)
-    for bits in sample:
-        pattern = SignPattern(6, bits)
-        word, trace = solve(poly, pattern)
-        alpha = poly.identity_word
-        for step in trace.steps:
-            alpha = tuple(
-                {step.swap[0]: step.swap[1], step.swap[1]: step.swap[0]}.get(v, v)
-                for v in alpha
-            )
-            assert transport(pattern, map_for_ordering(poly, alpha)) == step.pattern
+    for n in (6, 9, 12):
+        poly = Polygon(n)
+        for _ in range(20):
+            pattern = sign_of_ordering(poly, tuple(rng.sample(range(1, n + 1), n)))
+            word, trace = solve(poly, pattern)
+            alpha = poly.identity_word
+            for step in trace.steps:
+                alpha = tuple(
+                    {step.swap[0]: step.swap[1], step.swap[1]: step.swap[0]}.get(v, v)
+                    for v in alpha
+                )
+                assert transport(pattern, map_for_ordering(poly, alpha)) == step.pattern
+            assert canonicalize(alpha) == word
 
 
 def test_decagon_worked_example():
