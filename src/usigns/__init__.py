@@ -21,10 +21,8 @@ from .relations import (
     URelation,
     consistent_patterns,
     count_consistent,
-    extended_relation,
     extended_relations,
     is_consistent,
-    primitive_relation,
     primitive_relations,
 )
 from .monomial import (

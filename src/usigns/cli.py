@@ -59,6 +59,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class _Verbatim(argparse.Action):
+    """Store the value as typed: argparse (Python 3.11) turns a value of '--' into []."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
 def _product_str(term) -> str:
     return "*".join(f"u[{i},{j}]" for i, j in term)
 
@@ -98,15 +105,11 @@ def _trace_json(trace: SolverTrace) -> list[dict]:
     ]
 
 
-def _parse_pattern(poly: Polygon, text: str | None) -> SignPattern:
-    if text is None:
-        raise ValueError("--pattern is required")
+def _parse_pattern(poly: Polygon, text: str) -> SignPattern:
     return SignPattern.from_string(poly.n, text.strip())
 
 
-def _parse_word(poly: Polygon, text: str | None) -> tuple[int, ...]:
-    if text is None:
-        raise ValueError("--ordering is required")
+def _parse_word(poly: Polygon, text: str) -> tuple[int, ...]:
     pieces = text.replace(",", " ").split()
     try:
         word = tuple(int(p) for p in pieces)
@@ -354,13 +357,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="dihedral ordering from a sign pattern")
     p.add_argument("n", type=int)
-    p.add_argument("--pattern", default=None, help="signs over chords, e.g. '-++++'")
+    p.add_argument(
+        "--pattern", required=True, action=_Verbatim, help="signs over chords, e.g. '-++++'"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sign-of", help="sign pattern of a dihedral ordering")
     p.add_argument("n", type=int)
-    p.add_argument("--ordering", default=None, help="labels, e.g. '1,4,2,5,3'")
+    p.add_argument("--ordering", required=True, action=_Verbatim, help="labels, e.g. '1,4,2,5,3'")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sign_of)
 
@@ -371,44 +376,26 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("diagram", help="write an SVG of the n-gon sign pattern")
     p.add_argument("n", type=int)
-    p.add_argument("--pattern", default=None)
+    p.add_argument("--pattern", required=True, action=_Verbatim)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_diagram)
 
     return parser
 
 
-def _extract_dash_values(argv: list[str]) -> tuple[list[str], dict[str, str]]:
-    """Pull --pattern/--ordering values out of argv before argparse runs.
-
-    Sign patterns like '--' or '-++-' look like flags to argparse, so these
-    two options are parsed by hand and re-attached afterwards, only to a
-    subcommand that defines them.
-    """
-    out: list[str] = []
-    values: dict[str, str] = {}
-    i = 0
-    while i < len(argv):
-        flag, eq, value = argv[i].partition("=")
-        if flag in ("--pattern", "--ordering") and (eq or i + 1 < len(argv)):
-            values[flag[2:]] = value if eq else argv[i + 1]
-            i += 1 if eq else 2
-        else:
-            out.append(argv[i])
-            i += 1
-    return out, values
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Write ``--pattern X`` as ``--pattern=X``, and ``--ordering`` alike:
+    argparse reads a value like '-++-' as a flag, but not after '='."""
+    out, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in ("--pattern", "--ordering") else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv, values = _extract_dash_values(list(argv))
-    args = parser.parse_args(argv)
-    for name, value in values.items():
-        if not hasattr(args, name):
-            parser.error(f"unrecognized arguments: --{name}")
-        setattr(args, name, value)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_dash_values(argv))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

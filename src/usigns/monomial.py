@@ -212,11 +212,14 @@ def map_for_transposition(poly: Polygon, p: int, q: int) -> MonomialMap:
     """Chart change for swapping the entries at positions p and q.
 
     Source: identity word with positions p, q swapped; target: the standard
-    chart. (p, q) and (q, p) name the same map.
+    chart. (p, q) and (q, p) name the same map; positions are not wrapped.
     """
-    if poly.wrap(p) == poly.wrap(q):
+    for v in (p, q):
+        if not 1 <= v <= poly.n:
+            raise ValueError(f"position {v} is not in 1..{poly.n}")
+    if p == q:
         raise ValueError("positions must differ")
-    word = compose_transposition(poly.identity_word, poly.wrap(p), poly.wrap(q))
+    word = compose_transposition(poly.identity_word, p, q)
     return MonomialMap(poly.n, word, poly.identity_word)
 
 

@@ -222,7 +222,11 @@ def relations_vanish(poly: Polygon, vals: Mapping[Chord, Fraction]) -> bool:
 def _nonzero_values(poly: Polygon, vals: Mapping[Chord, Fraction]) -> list[Fraction]:
     """The value of every chord, in chord order, as a nonzero Fraction;
     a Fraction is passed through as it is."""
-    out = [vals[c] for c in poly.chords]
+    try:
+        out = [vals[c] for c in poly.chords]
+    except KeyError:
+        missing = next(c for c in poly.chords if c not in vals)
+        raise ValueError(f"no value for chord {missing}") from None
     out = [v if isinstance(v, Fraction) else Fraction(v) for v in out]
     if not all(out):
         raise ValueError(f"value of chord {poly.chords[out.index(0)]} is zero")

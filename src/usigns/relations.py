@@ -5,21 +5,21 @@ one". A sign pattern contradicts a relation exactly when both products come
 out negative (two negative reals cannot sum to 1; every other sign combination
 is achievable), and is consistent when it contradicts no extended relation.
 
-Counting and streaming the consistent patterns run on numpy in
-``_enumeration``, one frontier enumerator over a tuple of relation masks that
-checks each relation once, when its last chord is set; ``_relation_masks`` is
-the one place that turns the relation set chosen into that tuple. The
-enumerator is imported on first use: nothing else in the package needs numpy.
+Each relation is the pair of cut rectangles of ``ngon._cut_runs`` at its four
+cuts, and ``_relation_terms`` is the one place that lays out a relation set:
+both relation lists and the masks of ``_relation_masks`` read it. Counting and
+streaming run on numpy in ``_enumeration``, one frontier enumerator over that
+tuple of masks that checks each relation once, when its last chord is set; it
+is imported on first use, and nothing else in the package needs numpy.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .ngon import Chord, Polygon, crossing_chords
-from .ngon import _cut_runs, _run_bits
+from .ngon import Chord, Polygon, _cut_runs, _run_bits
 from .patterns import SignPattern
 
 # chord bits of the 12-gon (54) are the most a uint64 pattern holds
@@ -32,11 +32,8 @@ _PRIMITIVE_STREAM_MAX_N = 10
 
 @dataclass(frozen=True)
 class URelation:
-    """Two disjoint chord sets t1, t2 with prod(t1) + prod(t2) = 1.
-
-    ``cuts`` records the four generating cut points when the relation came
-    from a cyclic 4-interval partition (None for the primitive constructor).
-    """
+    """Two disjoint chord sets t1, t2 with prod(t1) + prod(t2) = 1; ``cuts``
+    are the four cut points of an extended relation, None for a primitive one."""
 
     n: int
     t1: tuple[Chord, ...]
@@ -44,76 +41,65 @@ class URelation:
     cuts: tuple[int, int, int, int] | None = None
 
 
-def primitive_relation(poly: Polygon, c: Chord) -> URelation:
-    """The relation u_c + prod(chords crossing c) = 1."""
-    c = poly.chord(*c)
-    return URelation(poly.n, (c,), crossing_chords(poly, c))
+def _relation_terms(poly: Polygon, primitive_only: bool) -> Iterator[tuple]:
+    """Per relation of the chosen set, in list order, its four cut points and
+    the ``_cut_runs`` chord runs of its two terms, in term order.
+
+    An extended relation is one choice of 4 cuts, in ``combinations`` order,
+    R1 first. The primitive relation of chord (i, j), u_ij + prod(crossing
+    chords), is the one at cuts i, i+1, j, j+1 (mod n), its own term first;
+    for j = n those sort to 1, i, i+1, n, the chord is in R2, and R2 is first.
+    """
+    n = poly.n
+    if primitive_only:
+        cut_list = ((tuple(sorted((i, i + 1, j, j % n + 1))), j == n) for i, j in poly.chords)
+    else:
+        cut_list = ((cuts, False) for cuts in itertools.combinations(range(1, n + 1), 4))
+    for cuts, own_second in cut_list:
+        t1, t2 = (_cut_runs(poly, *cuts, *e) for e in ((1, 0), (0, 1)))
+        yield (cuts, t2, t1) if own_second else (cuts, t1, t2)
+
+
+def _relation_list(poly: Polygon, primitive_only: bool) -> tuple[URelation, ...]:
+    chords, relations = poly.chords, []
+    for cuts, *terms in _relation_terms(poly, primitive_only):
+        t1, t2 = (tuple(c for k, size, _ in run for c in chords[k:k + size]) for run in terms)
+        relations.append(URelation(poly.n, t1, t2, None if primitive_only else cuts))
+    return tuple(relations)
 
 
 def primitive_relations(poly: Polygon) -> tuple[URelation, ...]:
-    return tuple(primitive_relation(poly, c) for c in poly.chords)
+    """u_c + prod(chords crossing c) = 1 for each chord c, in chord order."""
+    return _relation_list(poly, True)
 
 
-def extended_relation(poly: Polygon, cuts: Sequence[int]) -> URelation:
-    """Relation for the 4-interval cyclic partition at the given cut points.
+def extended_relations(poly: Polygon) -> tuple[URelation, ...]:
+    """One relation per choice of 4 cut points, C(n,4) in total.
 
     With intervals A, B, C, D read off from the cuts, the first term is the
     product over A x C chords and the second over B x D chords, each in chord
     order. Cut choices where one side has singleton intervals reproduce
     primitive relations.
     """
-    cuts, n = tuple(cuts), poly.n
-    if len(cuts) != 4 or list(cuts) != sorted(set(cuts)) or cuts[0] < 1 or cuts[-1] > n:
-        raise ValueError(f"need 4 cut points p < q < r < s in 1..{n}, got {cuts}")
-    chords = poly.chords
-    t1, t2 = (
-        tuple(c for k, size, _ in _cut_runs(poly, *cuts, *e) for c in chords[k:k + size])
-        for e in ((1, 0), (0, 1))
-    )
-    return URelation(n, t1, t2, cuts)
-
-
-def extended_relations(poly: Polygon) -> tuple[URelation, ...]:
-    """One relation per choice of 4 cut points, C(n,4) in total."""
-    return tuple(
-        extended_relation(poly, cuts)
-        for cuts in itertools.combinations(range(1, poly.n + 1), 4)
-    )
+    return _relation_list(poly, False)
 
 
 @lru_cache(maxsize=None)
 def _relation_masks(n: int, primitive_only: bool) -> tuple[tuple[int, int], ...]:
     """Per distinct relation, its (mask1, mask2) bit masks over canonical
-    chord indices, in the order of the relation list, summed from the chord
-    runs of the two rectangles at its cuts.
-
-    The extended list has no duplicates, so its row k belongs to the k-th
-    cut choice. The primitive relation of chord (i, j) is the one at cuts
-    i, i+1, j, j+1 (mod n), with the chord's own term first; the square's two
-    primitive relations coincide, and only the first is kept.
-    """
-    poly = Polygon(n)
-    if primitive_only:
-        # for j = n the cuts sort to 1, i, i+1, n, and the chord is B x D;
-        # the square's two chords share their cuts
-        own_second: dict[tuple[int, ...], bool] = {}
-        for i, j in poly.chords:
-            own_second.setdefault(tuple(sorted((i, i + 1, j, j % n + 1))), j == n)
-    else:
-        own_second = dict.fromkeys(itertools.combinations(range(1, n + 1), 4), False)
-    masks = []
-    for cuts, swap in own_second.items():
-        m1, m2 = (_run_bits(_cut_runs(poly, *cuts, *e)) for e in ((1, 0), (0, 1)))
-        masks.append((m2, m1) if swap else (m1, m2))
-    return tuple(masks)
+    chord indices, in the order of the relation list. Only the square has
+    two chords with one primitive relation, and only the first is kept."""
+    terms = _relation_terms(Polygon(n), primitive_only)
+    masks = tuple((_run_bits(t1), _run_bits(t2)) for _, t1, t2 in terms)
+    return masks[:1] if n == 4 else masks
 
 
-def is_consistent(poly: Polygon, pattern: SignPattern, primitive_only: bool = False) -> bool:
-    """Whether no (extended) u-relation has both terms negative."""
+def is_consistent(poly: Polygon, pattern: SignPattern) -> bool:
+    """Whether no extended u-relation has both terms negative."""
     if pattern.n != poly.n:
         raise ValueError(f"pattern is for n={pattern.n}, polygon has n={poly.n}")
     bits = pattern.bits
-    for m1, m2 in _relation_masks(poly.n, primitive_only):
+    for m1, m2 in _relation_masks(poly.n, False):
         if (bits & m1).bit_count() & 1 and (bits & m2).bit_count() & 1:
             return False
     return True

@@ -450,13 +450,33 @@ def test_verify_has_no_seed_flag(capsys):
     ],
 )
 def test_flag_of_another_subcommand_is_a_usage_error(argv, capsys):
-    # --pattern/--ordering are parsed by hand; a subcommand without the option
-    # must refuse it rather than run and drop it
+    # --pattern/--ordering are attached with '=' before argparse runs; a
+    # subcommand without the option must refuse it rather than run and drop it
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
     assert exc.value.code == 3 and captured.out == ""
     assert captured.err.splitlines()[-1].startswith("usigns: error: unrecognized")
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve", "5"], ["sign-of", "5"], ["solve", "5", "--pattern"]]
+)
+def test_missing_pattern_or_ordering_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 3 and captured.out == ""
+    assert "error: " in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [["--pattern", "--"], ["--pattern=--"]])
+def test_double_dash_is_a_pattern_value(argv, capsys):
+    # argparse would read a bare '--' as the end of the options
+    code, out, err = run(capsys, "solve", "4", *argv)
+    assert (code, out, err) == (2, "", "inconsistent\n")
+    code, _, err = run(capsys, "sign-of", "5", *[a.replace("pattern", "ordering") for a in argv])
+    assert code == 3 and err == "usigns: error: cannot parse ordering '--'\n"
 
 
 def test_diagram_deterministic(tmp_path, capsys):

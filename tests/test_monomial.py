@@ -138,6 +138,17 @@ def test_map_for_transposition_adjacent_is_elementary():
             map_for_transposition(poly, 2, 2)
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_map_for_transposition_rejects_positions_outside_1_to_n(n):
+    # 0, -1 and n + 1 are not wrapped onto a position, on either side
+    poly = Polygon(n)
+    for bad in (0, -1, n + 1):
+        for p, q in ((bad, 2), (2, bad)):
+            with pytest.raises(ValueError) as exc:
+                map_for_transposition(poly, p, q)
+            assert str(exc.value) == f"position {bad} is not in 1..{n}"
+
+
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_transposition_path_independence(n):
     # arc decomposition in either direction equals the bubble-sorted map
@@ -442,6 +453,19 @@ def test_values_read_alike_as_ints_and_fractions():
                 evaluate(m, bad)
             with pytest.raises(ValueError, match=r"^value of chord \(2, 4\) is zero$"):
                 points_from_u(poly, bad)
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_missing_chord_value_is_named(n):
+    # the first chord in chord order without a value is named, not a KeyError
+    poly = Polygon(n)
+    m = map_for_ordering(poly, tuple(reversed(poly.identity_word)))
+    vals = {c: Fraction(k + 2) for k, c in enumerate(poly.chords)}
+    del vals[(2, 4)], vals[(1, 3)]
+    for call in (lambda: evaluate(m, vals), lambda: points_from_u(poly, vals),
+                 lambda: relations_vanish(poly, vals)):
+        with pytest.raises(ValueError, match=r"^no value for chord \(1, 3\)$"):
+            call()
 
 
 @pytest.mark.parametrize("n", [13, 14, 15, 16])

@@ -13,10 +13,9 @@ from usigns import (
     all_orderings,
     consistent_patterns,
     count_consistent,
-    extended_relation,
+    crossing_chords,
     extended_relations,
     is_consistent,
-    primitive_relation,
     primitive_relations,
     sign_of_ordering,
 )
@@ -60,14 +59,24 @@ def _term_sets(rel):
     return frozenset((frozenset(rel.t1), frozenset(rel.t2)))
 
 
+def _primitive(poly, c):
+    """The primitive relation of chord c, found by its place in chord order."""
+    return primitive_relations(poly)[poly.chord_index[c]]
+
+
+def _extended_by_cuts(poly):
+    """The extended relations keyed by their cuts, read off by place in cut order."""
+    return dict(zip(itertools.combinations(range(1, poly.n + 1), 4), extended_relations(poly)))
+
+
 def test_primitive_relation_examples():
     p6 = Polygon(6)
-    r = primitive_relation(p6, (1, 3))
+    r = _primitive(p6, (1, 3))
     assert r.t1 == ((1, 3),) and r.t2 == ((2, 4), (2, 5), (2, 6))
-    r = primitive_relation(p6, (1, 4))
+    r = _primitive(p6, (1, 4))
     assert r.t2 == ((2, 5), (2, 6), (3, 5), (3, 6))
     p4 = Polygon(4)
-    r = primitive_relation(p4, (1, 3))
+    r = _primitive(p4, (1, 3))
     assert r.t1 == ((1, 3),) and r.t2 == ((2, 4),)
 
 
@@ -89,7 +98,7 @@ def test_extended_relations_n5_all_primitive():
 
 
 def test_extended_relation_cut_example():
-    r = extended_relation(Polygon(6), (1, 3, 4, 5))
+    r = _extended_by_cuts(Polygon(6))[(1, 3, 4, 5)]
     assert r.t1 == ((1, 4), (2, 4)) and r.t2 == ((3, 5), (3, 6))
     assert r.cuts == (1, 3, 4, 5)
 
@@ -108,19 +117,10 @@ def test_extended_relations_n6_split():
 @pytest.mark.parametrize("n", range(4, 13))
 def test_extended_relation_matches_reference(n):
     poly = Polygon(n)
-    for cuts in itertools.combinations(range(1, n + 1), 4):
-        assert extended_relation(poly, cuts) == reference_relation(poly, cuts)
-
-
-@pytest.mark.parametrize(
-    "cuts", [(1, 2, 3, 4, 5), (1, 2, 3), (4, 3, 2, 1), (1, 2, 3, 8), (0, 2, 3, 4)]
-)
-def test_extended_relation_needs_four_increasing_cuts(cuts):
-    with pytest.raises(ValueError) as exc:
-        extended_relation(Polygon(7), cuts)
-    message = str(exc.value)
-    assert "\n" not in message
-    assert message.startswith("need 4 cut points p < q < r < s in 1..7")
+    relations = _extended_by_cuts(poly)
+    assert len(extended_relations(poly)) == len(relations) == math.comb(n, 4)
+    for cuts, rel in relations.items():
+        assert rel == reference_relation(poly, cuts)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -137,12 +137,12 @@ def test_singleton_interval_relations_are_primitive(n):
 
 def test_contradicts():
     p4 = Polygon(4)
-    rel = primitive_relation(p4, (1, 3))
+    rel = _primitive(p4, (1, 3))
     assert contradicts(SignPattern.from_string(4, "--"), rel)
     assert not contradicts(SignPattern.from_string(4, "-+"), rel)
     # parity: two negatives in one term make it positive
     p6 = Polygon(6)
-    rel = extended_relation(p6, (1, 3, 4, 5))  # u14*u24 + u35*u36
+    rel = _extended_by_cuts(p6)[(1, 3, 4, 5)]  # u14*u24 + u35*u36
     s = SignPattern.from_negative_chords(6, [(1, 4), (3, 5)])
     assert contradicts(s, rel)
     s = SignPattern.from_negative_chords(6, [(1, 4), (2, 4), (3, 5)])
@@ -155,7 +155,7 @@ def test_is_consistent_examples():
     assert is_consistent(Polygon(5), SignPattern.all_minus(5))
     assert not is_consistent(Polygon(4), SignPattern.from_string(4, "--"))
     s = SignPattern.from_string(6, "--+-+--++")
-    assert is_consistent(Polygon(6), s, primitive_only=True)
+    assert s.bits in {p.bits for p in consistent_patterns(Polygon(6), primitive_only=True)}
     assert not is_consistent(Polygon(6), s)
 
 
@@ -415,17 +415,16 @@ def test_relation_mask_dedup():
 
 @pytest.mark.parametrize("n", range(4, 15))
 def test_relation_terms_table(n):
-    # the one per-n relation table: term masks of the pair-by-pair relations
-    # in cut order, and of the chord-and-crossings primitive relations
+    # the one per-n relation table against definitions that do not read the
+    # cut rectangles: term masks of the pair-by-pair relations in cut order,
+    # and of each chord with the chords crossing it, in chord order
     poly = Polygon(n)
-    for primitive_only, rels in (
-        (False, [reference_relation(poly, cuts)
-                 for cuts in itertools.combinations(range(1, n + 1), 4)]),
-        (True, primitive_relations(poly)),
-    ):
-        expected = tuple((poly.mask(r.t1), poly.mask(r.t2)) for r in rels)
-        # the square's two primitive relations are one relation
-        assert _relation_masks(n, primitive_only) == (expected[:1] if n == 4 else expected)
+    refs = [reference_relation(poly, cuts) for cuts in itertools.combinations(range(1, n + 1), 4)]
+    extended = tuple((poly.mask(r.t1), poly.mask(r.t2)) for r in refs)
+    primitive = tuple((poly.mask([c]), poly.mask(crossing_chords(poly, c))) for c in poly.chords)
+    assert _relation_masks(n, False) == extended
+    # the square's two primitive relations are one relation
+    assert _relation_masks(n, True) == (primitive[:1] if n == 4 else primitive)
 
 
 def test_relation_masks_build_no_relation_objects(monkeypatch):
@@ -473,13 +472,14 @@ def test_lift_plan_reads_cut_at_n_rows(n):
     star = sorted(poly.chords, key=lambda c: (c[0], -c[1]))
     steps = _plan(n, _relation_masks(n, False))
     assert len(steps) == len(star)
+    relations = _extended_by_cuts(poly)
     got, expected = [], []
     for (i, j), (d, terms) in zip(star, steps):
         if j != n:
             continue
         got += zip(*terms.tolist())
         for cuts in itertools.combinations(range(1, i + 1), 2):
-            r = extended_relation(poly, cuts + (i + 1, n))
+            r = relations[cuts + (i + 1, n)]
             m1, m2 = poly.mask(r.t1), poly.mask(r.t2)
             expected.append((m1 ^ int(d), m2) if m1 & int(d) else (m2 ^ int(d), m1))
     assert got == expected
