@@ -11,7 +11,6 @@ from .ngon import (
     Polygon,
     all_orderings,
     canonicalize,
-    compose_transposition,
     crosses,
     crossing_chords,
     ordering_count,

@@ -34,7 +34,7 @@ from functools import cached_property
 from math import prod
 from typing import Iterator, Mapping, Sequence
 
-from .ngon import Chord, Polygon, _check_permutation, compose_transposition
+from .ngon import Chord, Polygon, _check_permutation
 from .ngon import _cut_runs, _run_bits
 from .points import _nonzero_values
 
@@ -219,7 +219,8 @@ def map_for_transposition(poly: Polygon, p: int, q: int) -> MonomialMap:
             raise ValueError(f"position {v} is not in 1..{poly.n}")
     if p == q:
         raise ValueError("positions must differ")
-    word = compose_transposition(poly.identity_word, p, q)
+    word = list(poly.identity_word)
+    word[p - 1], word[q - 1] = q, p
     return MonomialMap(poly.n, word, poly.identity_word)
 
 

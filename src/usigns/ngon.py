@@ -189,24 +189,6 @@ def ordering_count(poly: Polygon) -> int:
     return count // 2
 
 
-def compose_transposition(word: Sequence[int], x: int, y: int) -> tuple[int, ...]:
-    """Left-compose the label transposition (x y) onto a word.
-
-    Returns the word with the entries holding labels x and y swapped.
-
-    >>> compose_transposition((1, 2, 3, 4, 5), 1, 3)
-    (3, 2, 1, 4, 5)
-    >>> compose_transposition((1, 4, 2, 5, 3), 4, 2)
-    (1, 2, 4, 5, 3)
-    """
-    word = tuple(word)
-    n = len(word)
-    if x == y or not (1 <= x <= n and 1 <= y <= n):
-        raise ValueError(f"invalid transposition ({x} {y}) for n={n}")
-    swap = {x: y, y: x}
-    return tuple(swap.get(v, v) for v in word)
-
-
 def _cut_runs(
     poly: Polygon, p: int, q: int, r: int, s: int, e1: int, e2: int
 ) -> list[tuple[int, int, int]]:

@@ -78,6 +78,12 @@ def dihedral_class(word: Sequence[int]) -> set[tuple[int, ...]]:
     return out
 
 
+def swap_labels(word: Sequence[int], x: int, y: int) -> tuple[int, ...]:
+    """``word`` with the entries holding labels x and y exchanged."""
+    swap = {x: y, y: x}
+    return tuple(swap.get(v, v) for v in word)
+
+
 def contradicts(pattern: SignPattern, relation: URelation) -> bool:
     """Whether both terms of the relation are negative under the pattern.
 

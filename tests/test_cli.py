@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import usigns
+from usigns import _enumeration
 from usigns.cli import main
 from usigns.ngon import Polygon
 from usigns.points import realize, signs_from_points
@@ -213,6 +214,35 @@ def test_count_out_full_disk_exit_3(capsys):
     code, out, err = run(capsys, "count", "6", "--out", "/dev/full")
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and err.startswith("usigns: error:")
+
+
+def test_count_out_broken_pipe_exit_3(capsys, monkeypatch, tmp_path):
+    # a broken pipe while writing the --out file is that file's failure, not stdout's
+    def broken(*args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(_enumeration, "write_consistent", broken)
+    code, out, err = run(capsys, "count", "6", "--out", str(tmp_path / "f.txt"))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("usigns: error:")
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the pipe's reader is gone before the process starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "usigns.cli", "relations", "6"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_package_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141 and proc.stderr == ""
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from usigns import (
     Polygon,
     all_orderings,
     canonicalize,
-    compose_transposition,
     crosses,
     crossing_chords,
     ordering_count,
@@ -183,23 +182,6 @@ def test_all_orderings_count(n, count):
     assert len(words) == count == ordering_count(Polygon(n))
     assert len(set(words)) == count
     assert all(canonicalize(w) == w for w in words)
-
-
-def test_compose_transposition_examples():
-    assert compose_transposition((1, 2, 3, 4, 5), 1, 3) == (3, 2, 1, 4, 5)
-    assert compose_transposition((1, 4, 2, 5, 3), 4, 2) == (1, 2, 4, 5, 3)
-    with pytest.raises(ValueError):
-        compose_transposition((1, 2, 3, 4), 2, 2)
-    with pytest.raises(ValueError):
-        compose_transposition((1, 2, 3, 4), 0, 2)
-
-
-def test_compose_transposition_ten_point_example():
-    # six transpositions applied to the identity, right-to-left
-    word = tuple(range(1, 11))
-    for x, y in [(7, 8), (9, 10), (4, 6), (7, 9), (6, 8), (5, 4)]:
-        word = compose_transposition(word, x, y)
-    assert word == (1, 2, 3, 8, 4, 5, 6, 9, 10, 7)
 
 
 def test_ngon_doctests():

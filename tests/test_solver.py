@@ -16,7 +16,6 @@ from usigns import (
     all_orderings,
     canonicalize,
     compose,
-    compose_transposition,
     invert,
     is_consistent,
     map_for_ordering,
@@ -26,6 +25,7 @@ from usigns import (
     reconstruct_sign_matrix,
     shortest_negative,
     sign_of_ordering,
+    signs_from_points,
     solve,
     transport,
 )
@@ -33,7 +33,7 @@ from usigns import monomial, relations, solver
 from usigns.signs import _transposition_table
 from usigns.points import standard_gauge
 
-from conftest import DECAGON_NEGATIVES, PENTAGON_TABLE, consistent_bits
+from conftest import DECAGON_NEGATIVES, PENTAGON_TABLE, consistent_bits, swap_labels
 
 
 def test_solve_all_plus_is_identity():
@@ -158,10 +158,10 @@ def test_solve_tie_break_independent_result(n):
                 if d == shortest
             ]
             assert step.chord in oriented
-            swapped = compose_transposition(word, *step.swap)
+            swapped = swap_labels(word, *step.swap)
             for a, b in oriented:
                 p = poly.wrap(a + 1)
-                moved = compose_transposition(word, word[p - 1], word[b - 1])
+                moved = swap_labels(word, word[p - 1], word[b - 1])
                 after = transport(state, map_for_transposition(poly, p, b))
                 if (a, b) == step.chord:
                     assert (moved, after) == (swapped, step.pattern)
@@ -174,7 +174,7 @@ def test_solve_tie_break_independent_result(n):
 
 def test_walk_reads_each_state_once(monkeypatch):
     # one pick per state drives its swap and fills its min_length; the walk
-    # neither rescans a state through stats nor rebuilds its word
+    # never rescans a state through stats
     def refuse(*args):
         raise AssertionError("the walk called a second reader")
 
@@ -185,7 +185,6 @@ def test_walk_reads_each_state_once(monkeypatch):
         return shortest_negative(pattern)
 
     monkeypatch.setattr(solver, "stats", refuse)
-    monkeypatch.setattr(solver, "compose_transposition", refuse, raising=False)
     monkeypatch.setattr(solver, "shortest_negative", counted)
     rng = random.Random(1800)
     for n in range(8, 13):
@@ -296,6 +295,22 @@ def test_matrix_route_roundtrip(n):
     for word in all_orderings(poly):
         matrix = reconstruct_sign_matrix(poly, sign_of_ordering(poly, word))
         assert ordering_from_sign_matrix(poly, matrix) == word
+
+
+@pytest.mark.parametrize("n, words", [(n, 30) for n in range(9, 15)] + [(20, 5), (30, 5)])
+def test_routes_agree_beyond_exhaustive_range(n, words):
+    # seeded words past the exhaustive n <= 8: the walk, the matrix route and
+    # the oracle agree on each, and the walk stays within its 4n^3 bound
+    poly = Polygon(n)
+    rng = random.Random(2000 + n)
+    for _ in range(words):
+        word = tuple(rng.sample(range(1, n + 1), n))
+        pattern = sign_of_ordering(poly, word)
+        found, trace = solve(poly, pattern)
+        matrix = reconstruct_sign_matrix(poly, pattern)
+        assert found == ordering_from_sign_matrix(poly, matrix) == canonicalize(word)
+        assert signs_from_points(realize(poly, word)) == pattern
+        assert trace.iterations <= solver.default_iteration_bound(n)
 
 
 def test_matrix_route_flags_inconsistent_patterns():
