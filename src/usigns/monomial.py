@@ -136,16 +136,19 @@ class MonomialMap:
         return tuple((odd, _run_bits(runs)) for odd, runs in self._row_list)
 
 
+def _places(source: Sequence[int], target: Sequence[int]) -> list[int]:
+    """Per source position, the target position of the label it holds."""
+    position = {label: p for p, label in enumerate(target, 1)}
+    return [position[label] for label in source]
+
+
 def _corners(
     poly: Polygon, source: Sequence[int], target: Sequence[int]
 ) -> Iterator[tuple[int, int, int, int]]:
     """Per source chord (i, j), in chord order: the target positions A, B, C,
     E of the labels at source positions i, i+1, j, j+1 (mod n)."""
     n = poly.n
-    position = [0] * (n + 1)
-    for p, label in enumerate(target, 1):
-        position[label] = p
-    at = [position[label] for label in source]
+    at = _places(source, target)
     for i, j in poly.chords:
         yield at[i - 1], at[i % n], at[j - 1], at[j % n]
 

@@ -10,11 +10,10 @@ to the ordering's chart.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .ngon import Polygon, _check_permutation
-from .monomial import MonomialMap, _corners, _odd, map_for_transposition
+from .monomial import MonomialMap, _odd, _places
 from .patterns import SignPattern
 
 
@@ -33,12 +32,6 @@ def transport(pattern: SignPattern, m: MonomialMap) -> SignPattern:
     return SignPattern(m.n, _transport_bits(pattern.bits, m.transport_table()))
 
 
-@lru_cache(maxsize=None)
-def _transposition_table(n: int, p: int, q: int) -> tuple[tuple[int, int], ...]:
-    """Transport table of ``map_for_transposition(Polygon(n), p, q)``."""
-    return map_for_transposition(Polygon(n), p, q).transport_table()
-
-
 def sign_of_ordering(poly: Polygon, word: Sequence[int]) -> SignPattern:
     """The standard-chart sign pattern of the component ordered by ``word``.
 
@@ -50,8 +43,17 @@ def sign_of_ordering(poly: Polygon, word: Sequence[int]) -> SignPattern:
     of ``word``, so the pattern depends only on the word's dihedral class.
     """
     word = _check_permutation(word, poly.n)
-    # one ASCII digit per chord, read last chord first as one base-2 int:
-    # setting m bits one at a time on an m-bit int costs O(m^2)
-    corners = _corners(poly, poly.identity_word, word)
-    digits = bytes(48 + _odd(*c) for c in corners)
+    return _interlacing(poly, _places(poly.identity_word, word))
+
+
+def _interlacing(poly: Polygon, at: Sequence[int]) -> SignPattern:
+    """The pattern, in the current chart, of the ordering in which the label
+    at chart position k stands at place ``at[k - 1]``: chord (i, j) is
+    negative exactly when the places of positions {i, i+1} and {j, j+1}
+    (mod n) interlace."""
+    # ``monomial._corners`` inline, position n + 1 as 1: the walk reads every
+    # chord at every step. One ASCII digit per chord, read as one base-2 int,
+    # since setting m bits one at a time on an m-bit int costs O(m^2)
+    w = [*at, at[0]]
+    digits = bytes(48 + _odd(w[i - 1], w[i], w[j - 1], w[j]) for i, j in poly.chords)
     return SignPattern(poly.n, int(digits[::-1], 2))

@@ -1,32 +1,30 @@
 """From a consistent sign pattern to its dihedral ordering.
 
-Two independent routes:
+* ``reconstruct_sign_matrix`` + ``ordering_from_sign_matrix`` rebuild the
+  pairwise order of the underlying points directly from the pattern by a
+  double recursion on its chord bits, then sort.
 
-* ``solve`` walks the pattern to the all-plus orthant: repeatedly pick the
-  shortest negative chord of the current chart's pattern, swap the two labels
-  sitting just inside it, and transport the pattern through that chart
-  change. The walk decides consistency. If it ends, its word's chart change
-  carries the pattern to all-plus, so the pattern is realizable and the word
-  is its ordering. If it revisits a pattern, it never ends: the input is
-  inconsistent.
-
-* ``reconstruct_sign_matrix`` + ``ordering_from_sign_matrix`` instead rebuild
-  the pairwise order of the underlying points directly from the pattern by a
-  double recursion, then sort.
-
-``solve`` caches one transport table per (n, p, q) it swaps, with no bound.
+* ``solve`` decides with that matrix route and certifies its word by a round
+  trip: the pattern is consistent exactly when it is ``sign_of_ordering`` of
+  the word. It then replays the walk to the all-plus orthant: repeatedly pick
+  the shortest negative chord of the current chart's pattern and swap the two
+  labels sitting just inside it. A swap moves labels, not their places in the
+  word, so each state is read off those places in closed form.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
+from .monomial import _places
 from .ngon import Polygon, canonicalize
 from .patterns import SignPattern, shortest_negative, stats
-from .signs import _transport_bits, _transposition_table
+from .signs import _interlacing, sign_of_ordering
 
 
 class InconsistentPatternError(ValueError):
-    """The solver's walk revisited a pattern, so the input is not consistent."""
+    """No dihedral ordering has the pattern: the matrix route finds no total
+    order of the points, or its word's pattern differs from the input."""
 
 
 class IntransitiveOrderError(ValueError):
@@ -85,17 +83,23 @@ def default_iteration_bound(n: int) -> int:
 def solve(poly: Polygon, pattern: SignPattern) -> tuple[tuple[int, ...], SolverTrace]:
     """Canonical dihedral ordering whose component carries ``pattern``.
 
-    The walk reads one pick per state and decides consistency: it raises
-    ``InconsistentPatternError`` once it revisits a pattern. The trace records
-    every transposition. Each swapped transposition's transport table stays
-    cached, unbounded: about 477 MB at n = 80 (random word, 2 cores, Python 3.11).
+    The matrix route proposes the ordering and ``sign_of_ordering`` certifies
+    it, or ``InconsistentPatternError`` is raised. The trace then replays the
+    walk: each step swaps the labels just inside the shortest negative chord,
+    and its pattern is read off the places of the chart's labels in the
+    ordering, with no transport table.
     """
     if pattern.n != poly.n:
         raise ValueError(f"pattern is for n={pattern.n}, polygon has n={poly.n}")
+    try:
+        found = ordering_from_sign_matrix(poly, reconstruct_sign_matrix(poly, pattern))
+    except IntransitiveOrderError:
+        found = None
+    if found is None or sign_of_ordering(poly, found) != pattern:
+        raise InconsistentPatternError(f"no dihedral ordering has the pattern {pattern}")
     bound = default_iteration_bound(poly.n)
-    word = list(poly.identity_word)
+    at = _places(poly.identity_word, found)  # place in found of each chart position's label
     current = pattern
-    visited = {pattern.bits}
     steps: list[TraceStep] = []
     pick = shortest_negative(current) if current.bits else None
     while pick is not None:
@@ -106,17 +110,13 @@ def solve(poly: Polygon, pattern: SignPattern) -> tuple[tuple[int, ...], SolverT
             )
         a, b = pick
         p = poly.wrap(a + 1)
-        x, y = word[p - 1], word[b - 1]
-        word[p - 1], word[b - 1] = y, x
-        table = _transposition_table(poly.n, p, b)
-        current = SignPattern(poly.n, _transport_bits(current.bits, table))
-        if current.bits in visited:
-            raise InconsistentPatternError(f"walk from {pattern} revisited a pattern")
-        visited.add(current.bits)
+        x, y = found[at[p - 1] - 1], found[at[b - 1] - 1]
+        at[p - 1], at[b - 1] = at[b - 1], at[p - 1]
+        current = _interlacing(poly, at)
         pick = shortest_negative(current) if current.bits else None
         length = None if pick is None else (pick[1] - pick[0]) % poly.n
         steps.append(TraceStep((a, b), (x, y), current, current.bits.bit_count(), length))
-    return canonicalize(word), SolverTrace(pattern, tuple(steps))
+    return found, SolverTrace(pattern, tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -154,23 +154,16 @@ def reconstruct_sign_matrix(poly: Polygon, pattern: SignPattern) -> SignMatrix:
     """
     if pattern.n != poly.n:
         raise ValueError(f"pattern is for n={pattern.n}, polygon has n={poly.n}")
-    n = poly.n
-    P: dict[tuple[int, int], int] = {(1, 2): -1}
-    for k in range(1, n):
-        P[(k, n)] = -1
+    n, bits, index = poly.n, pattern.bits, poly.pair_index
+    # neg[i][j] is 1 where z_i < z_j; the last column and (1, 2) keep their 1
+    neg = [[1] * (n + 1) for _ in range(n)]
     for j in range(3, n):
-        P[(1, j)] = P[(1, j - 1)] * pattern.sign((j - 1, n))
+        neg[1][j] = neg[1][j - 1] ^ (bits >> index[j - 1][n] & 1)
     for i in range(2, n - 1):
+        up, row = neg[i - 1], neg[i]
         for j in range(n - 1, i, -1):
-            P[(i, j)] = (
-                pattern.sign(poly.chord(i - 1, j))
-                * P[(i - 1, j + 1)]
-                * P[(i - 1, j)]
-                * P[(i, j + 1)]
-            )
-    entries = tuple(
-        P[(i, j)] for i in range(1, n + 1) for j in range(i + 1, n + 1)
-    )
+            row[j] = (bits >> index[i - 1][j] & 1) ^ up[j + 1] ^ up[j] ^ row[j + 1]
+    entries = tuple(1 - 2 * neg[i][j] for i in range(1, n) for j in range(i + 1, n + 1))
     return SignMatrix(n, entries)
 
 
@@ -183,13 +176,13 @@ def ordering_from_sign_matrix(poly: Polygon, matrix: SignMatrix) -> tuple[int, .
     if matrix.n != poly.n:
         raise ValueError(f"matrix is for n={matrix.n}, polygon has n={poly.n}")
     n = poly.n
-    labels = range(1, n)
-    rank = {
-        i: sum(1 for j in labels if j != i and matrix.sign(j, i) < 0) for i in labels
-    }
+    rank = dict.fromkeys(range(1, n), 0)
+    for (i, j), e in zip(itertools.combinations(range(1, n + 1), 2), matrix.entries):
+        if j < n and e:  # the larger of z_i, z_j gains a rank
+            rank[i if e > 0 else j] += 1
     # a tournament whose scores are 0..n-2 is transitive (Landau), so the
     # ranks alone decide whether the matrix is a strict total order
     if sorted(rank.values()) != list(range(n - 1)):
         raise IntransitiveOrderError(f"comparison ranks {rank} are not a total order")
-    order = sorted(labels, key=rank.__getitem__)
+    order = sorted(rank, key=rank.__getitem__)
     return canonicalize(tuple(order) + (n,))

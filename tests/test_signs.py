@@ -21,7 +21,7 @@ from usigns import (
     signs_from_points,
     transport,
 )
-from usigns.signs import _transport_bits, _transposition_table
+from usigns.signs import _transport_bits
 
 from conftest import (
     PENTAGON_TABLE,
@@ -227,7 +227,8 @@ def test_transport_functorial_stepwise():
 def test_transposition_table_matches_laurent_route(n):
     # the closed-form table agrees with the GF(2) chain of elementary tables
     for p, q in itertools.permutations(range(1, n + 1), 2):
-        assert _transposition_table(n, p, q) == reference_transposition_table(n, p, q)
+        table = map_for_transposition(Polygon(n), p, q).transport_table()
+        assert table == reference_transposition_table(n, p, q)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 12, 20, 40])

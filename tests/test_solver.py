@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,7 +31,6 @@ from usigns import (
     transport,
 )
 from usigns import monomial, relations, solver
-from usigns.signs import _transposition_table
 from usigns.points import standard_gauge
 
 from conftest import DECAGON_NEGATIVES, PENTAGON_TABLE, consistent_bits, swap_labels
@@ -93,7 +93,8 @@ def test_walk_verdict_matches_is_consistent(n):
 
 
 def test_solve_builds_no_relation_masks():
-    # the walk alone decides: a large-n solve reads no relation table
+    # the matrix route and its round trip decide: a large-n solve reads no
+    # relation table
     poly = Polygon(30)
     word = tuple(random.Random(30).sample(range(1, 31), 30))
     pattern = sign_of_ordering(poly, word)
@@ -104,20 +105,61 @@ def test_solve_builds_no_relation_masks():
 
 @pytest.mark.parametrize("n", [12, 30])
 def test_solve_builds_no_monomials(n, monkeypatch):
-    # transport tables come from the chart-change rows; compose and invert
-    # act on the words alone
+    # solve reads every walk state off the word and reads no chart-change
+    # rows; transport tables come from those rows, and compose and invert act
+    # on the words alone
     def refuse(*args):
         raise AssertionError("built a SignedMonomial")
+
+    def refuse_rows(*args):
+        raise AssertionError("read chart-change rows")
 
     poly = Polygon(n)
     word = tuple(random.Random(1200 + n).sample(range(1, n + 1), n))
     pattern = sign_of_ordering(poly, word)
-    _transposition_table.cache_clear()
     monkeypatch.setattr(monomial, "SignedMonomial", refuse)
-    assert solve(poly, pattern)[0] == canonicalize(word)
+    with monkeypatch.context() as patch:
+        patch.setattr(monomial, "_rows", refuse_rows)
+        assert solve(poly, pattern)[0] == canonicalize(word)
     m = map_for_ordering(poly, word)
     assert compose(invert(m), m) == MonomialMap(n, word, word)
     assert transport(pattern, m).is_all_plus()
+
+
+def test_solve_memory_at_n_60():
+    # a cold n = 60 solve keeps no table: it traces about 0.3 MB, where the
+    # cached transport tables of the walk took about 140 MB
+    poly = Polygon(60)
+    pattern = sign_of_ordering(poly, random.Random(60).sample(range(1, 61), 60))
+    tracemalloc.start()
+    try:
+        solve(poly, pattern)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_round_trip_certifies_the_matrix_route(monkeypatch):
+    # a transitive but wrong word from the matrix route fails its round trip,
+    # so the walk never follows it
+    poly = Polygon(6)
+    words = list(all_orderings(poly))
+    proposed = iter(words[1:] + words[:1])
+    monkeypatch.setattr(solver, "ordering_from_sign_matrix", lambda poly, matrix: next(proposed))
+    for word in words:
+        with pytest.raises(InconsistentPatternError):
+            solve(poly, sign_of_ordering(poly, word))
+
+
+def test_longest_walk_through_n_8():
+    # the most iterations over every consistent pattern, pinned so that a
+    # picker change shows; each is far below C(n-1, 2) and the 4n^3 bound
+    longest = [
+        max(solve(Polygon(n), SignPattern(n, bits))[1].iterations for bits in consistent_bits(n))
+        for n in range(4, 9)
+    ]
+    assert longest == [1, 3, 5, 9, 14]
 
 
 def test_iteration_limit(monkeypatch):
@@ -202,9 +244,9 @@ def test_walk_reads_each_state_once(monkeypatch):
 
 
 def test_solve_incremental_matches_from_scratch():
-    # the loop transports through one transposition at a time; rebuilding the
-    # full chart change from the accumulated word must agree at every step,
-    # and replaying the swaps on labels must give the word swapped in place
+    # each state the walk reads off the word must equal the input transported
+    # through the full chart change of the swaps so far, and replaying the
+    # swaps on labels must give the returned word
     rng = random.Random(17)
     for n in (6, 9, 12):
         poly = Polygon(n)
@@ -300,7 +342,9 @@ def test_matrix_route_roundtrip(n):
 @pytest.mark.parametrize("n, words", [(n, 30) for n in range(9, 15)] + [(20, 5), (30, 5)])
 def test_routes_agree_beyond_exhaustive_range(n, words):
     # seeded words past the exhaustive n <= 8: the walk, the matrix route and
-    # the oracle agree on each, and the walk stays within its 4n^3 bound
+    # the oracle agree on each, the walk stays within its 4n^3 bound, and each
+    # step is the transport of the state before through the monomial map of
+    # its transposition
     poly = Polygon(n)
     rng = random.Random(2000 + n)
     for _ in range(words):
@@ -311,6 +355,12 @@ def test_routes_agree_beyond_exhaustive_range(n, words):
         assert found == ordering_from_sign_matrix(poly, matrix) == canonicalize(word)
         assert signs_from_points(realize(poly, word)) == pattern
         assert trace.iterations <= solver.default_iteration_bound(n)
+        previous = pattern
+        for step in trace.steps:
+            a, b = step.chord
+            after = transport(previous, map_for_transposition(poly, poly.wrap(a + 1), b))
+            assert after == step.pattern
+            previous = step.pattern
 
 
 def test_matrix_route_flags_inconsistent_patterns():
@@ -334,3 +384,10 @@ def test_matrix_route_flags_inconsistent_patterns():
     cycle = SignMatrix(4, (-1, 1, -1, -1, -1, -1))
     with pytest.raises(IntransitiveOrderError):
         ordering_from_sign_matrix(Polygon(4), cycle)
+
+
+def test_ordering_reads_only_labels_below_n():
+    # z_n plays infinity, so a hand-built matrix's (i, n) entries are not read
+    pairs = list(itertools.combinations(range(1, 6), 2))
+    entries = tuple(1 if j == 5 else -1 for _, j in pairs)
+    assert ordering_from_sign_matrix(Polygon(5), SignMatrix(5, entries)) == (1, 2, 3, 4, 5)
