@@ -11,6 +11,13 @@ contradicts no relation; the chord order only decides how large the frontier
 of partial patterns grows. In star order the extended frontier never exceeds
 the final count (checked for n <= 11).
 
+The check at a step reads term parities off per-byte tables built once per
+plan: for each group of up to ``_GROUP`` closing relations and each byte of
+the pattern word their terms touch, a 256-entry table of the parities of
+every byte value against each term. A partial pattern's parities are the
+XOR of its bytes' table entries, a few gathers over the frontier per group
+however many relations close at the step.
+
 A frontier that outgrows ``_BLOCK_ENTRIES`` patterns is cut into blocks that
 are finished depth-first, so memory stays bounded at every n.
 """
@@ -23,9 +30,11 @@ import numpy as np
 
 from .ngon import Polygon
 
-# most patterns one block extends at once; also the most uint64 words one
-# extension step gathers per group of relations
+# most patterns one block extends at once
 _BLOCK_ENTRIES = 1 << 16
+
+# most relations one parity signature holds: two bits each, in a uint64
+_GROUP = 32
 
 # blocks the frontier is cut into when it first outgrows _BLOCK_ENTRIES; the
 # unit of ``progress``
@@ -41,9 +50,10 @@ _SIGN_BYTES = np.frombuffer(b"+-", dtype=np.uint8)
 @lru_cache(maxsize=None)
 def _plan(n: int, masks: tuple[tuple[int, int], ...]) -> tuple:
     """The frontier's extension steps: per chord d in star order, (bit of d,
-    terms), where ``terms[0, r]`` is the mask of the term of the r-th
+    terms, groups), where ``terms[0, r]`` is the mask of the term of the r-th
     relation closing at d that holds d, with d removed, and ``terms[1, r]``
-    is the mask of its other term. A step that closes nothing doubles the
+    is the mask of its other term; ``groups`` are the parity tables of
+    ``terms`` (see ``_parity_tables``). A step that closes nothing doubles the
     frontier.
     """
     poly = Polygon(n)
@@ -54,41 +64,81 @@ def _plan(n: int, masks: tuple[tuple[int, int], ...]) -> tuple:
         last = max(rank[k] for k in range(poly.chord_count) if (m1 | m2) >> k & 1)
         d = 1 << order[last]
         closing[last].append((m1 ^ d, m2) if m1 & d else (m2 ^ d, m1))
-    steps = tuple(
-        (np.uint64(1 << k), np.array(rows, dtype=np.uint64).reshape(-1, 2).T.copy())
-        for k, rows in zip(order, closing)
-    )
-    for _, terms in steps:
+    steps = []
+    for k, rows in zip(order, closing):
+        terms = np.array(rows, dtype=np.uint64).reshape(-1, 2).T.copy()
         terms.setflags(write=False)  # shared by every caller of the cache
-    return steps
+        steps.append((np.uint64(1 << k), terms, _parity_tables(rows)))
+    return tuple(steps)
 
 
-def _extend(x: np.ndarray, d: np.uint64, terms: np.ndarray) -> np.ndarray:
+def _parity_tables(rows: list[tuple[int, int]]) -> tuple:
+    """The closing relations ``rows`` of one step, (held, other) term masks,
+    as groups of at most ``_GROUP`` relations: per group (width, columns,
+    tables), ``width`` its number of relations.
+
+    ``columns`` are the bytes of the pattern word, 0 the lowest, that any
+    term of the group touches, and ``tables[i, v]`` has bit r set to the
+    parity of v & byte ``columns[i]`` of the held term of the group's r-th
+    relation and bit width + r to that of its other term. The XOR of
+    ``tables[i, byte columns[i] of x]`` over i is then x's parity signature.
+    It is held in the narrowest of uint16, uint32 and uint64 that takes
+    2 * width bits.
+    """
+    v = np.arange(256, dtype=np.uint64)
+    groups = []
+    for s in range(0, len(rows), _GROUP):
+        group = rows[s : s + _GROUP]
+        width = len(group)
+        terms = [held for held, _ in group] + [other for _, other in group]
+        columns = tuple(c for c in range(8) if any(t >> 8 * c & 0xFF for t in terms))
+        term_bytes = np.array([[t >> 8 * c & 0xFF for t in terms] for c in columns], dtype=np.uint64)
+        odd = np.bitwise_count(term_bytes[:, :, None] & v) & np.uint64(1)
+        place = np.arange(2 * width, dtype=np.uint64)[:, None]
+        dtype = np.uint16 if width <= 8 else np.uint32 if width <= 16 else np.uint64
+        tables = np.bitwise_or.reduce(odd << place, axis=1).astype(dtype)
+        tables.setflags(write=False)
+        groups.append((width, columns, tables))
+    return tuple(groups)
+
+
+def _extend(x: np.ndarray, d: np.uint64, groups: tuple) -> np.ndarray:
     """The patterns among x and x | d that no relation closing at d contradicts.
 
     Under x (d unset) a closing relation's term holding d has parity p0 and
     its other term parity p1; setting d flips p0. So x is contradicted when
-    p0 and p1 are odd, x | d when p1 is odd and p0 even. The relations run in
-    groups of at most ``_BLOCK_ENTRIES // len(x)``, so a small frontier takes
-    few numpy calls.
+    p0 and p1 are odd, x | d when p1 is odd and p0 even. Per group of
+    relations the parities are read off x's bytes through the step's tables
+    (see ``_parity_tables``): bit r of the signature is p0 of relation r and
+    bit width + r its p1.
     """
-    if not terms.size:
+    if not groups:
         return np.concatenate((x, x | d))
-    bad = np.zeros(len(x), dtype=np.uint8)
-    group = max(1, _BLOCK_ENTRIES // max(1, len(x)))
-    for s in range(0, terms.shape[1], group):
-        odd = np.bitwise_count(x & terms[:, s : s + group, None])
-        odd &= 1
-        # bit 0: x | d is contradicted, bit 1: x is
-        bad |= np.bitwise_or.reduce(odd[1] << odd[0], axis=0)
-    return np.concatenate((x[bad < 2], x[(bad & 1) == 0] | d))
+    xb = x.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)  # column c: byte c
+    keep_x = keep_xd = None
+    for width, columns, tables in groups:
+        signature = tables[0].take(xb[:, columns[0]])
+        for table, c in zip(tables[1:], columns[1:]):
+            signature ^= table.take(xb[:, c])
+        odd = signature >> width  # p1 per relation
+        both = odd & signature  # p0 and p1
+        ok_x, ok_xd = both == 0, both == odd
+        if keep_x is None:
+            keep_x, keep_xd = ok_x, ok_xd
+        else:
+            keep_x &= ok_x
+            keep_xd &= ok_xd
+    # gathered by index: a boolean index, x[keep_x], took several times as
+    # long on the mixed masks of a full block
+    return np.concatenate((x.take(keep_x.nonzero()[0]), x.take(keep_xd.nonzero()[0]) | d))
 
 
 def _grow(steps: tuple, k: int, x: np.ndarray) -> tuple[int, np.ndarray]:
     """Extend frontier x from step k until the last step or until it
     outgrows ``_BLOCK_ENTRIES``; the step reached and the frontier."""
     while k < len(steps) and len(x) <= _BLOCK_ENTRIES:
-        x = _extend(x, *steps[k])
+        d, _, groups = steps[k]
+        x = _extend(x, d, groups)
         k += 1
     return k, x
 

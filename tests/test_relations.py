@@ -454,7 +454,7 @@ def test_plan_checks_each_relation_once_at_its_last_chord(n):
         steps = _plan(n, masks)
         assert len(steps) == len(star)
         checked = Counter()
-        for k, (d, terms) in enumerate(steps):
+        for k, (d, terms, _) in enumerate(steps):
             assert int(d) == poly.mask([star[k]])
             set_by_now = poly.mask(star[: k + 1])
             for held, other in zip(*terms.tolist()):
@@ -474,7 +474,7 @@ def test_lift_plan_reads_cut_at_n_rows(n):
     assert len(steps) == len(star)
     relations = _extended_by_cuts(poly)
     got, expected = [], []
-    for (i, j), (d, terms) in zip(star, steps):
+    for (i, j), (d, terms, _) in zip(star, steps):
         if j != n:
             continue
         got += zip(*terms.tolist())
@@ -484,6 +484,37 @@ def test_lift_plan_reads_cut_at_n_rows(n):
             expected.append((m1 ^ int(d), m2) if m1 & int(d) else (m2 ^ int(d), m1))
     assert got == expected
     assert len(got) == math.comb(n - 1, 3)
+
+
+def _extend_by_popcount(x, d, terms):
+    """_extend's reference: each relation's term parities counted bit by bit."""
+    held, other = np.bitwise_count(x[:, None] & terms[:, None, :]) & np.uint8(1)
+    keep_x = ~(held & other).any(axis=1)
+    keep_xd = ~(other & ~held).any(axis=1)
+    return np.concatenate((x[keep_x], x[keep_xd] | d))
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_extend_matches_popcount_reference(n):
+    # every plan step of both modes, on random partial patterns: bits only
+    # on the chords set before d, plus the empty and the full pattern
+    poly = Polygon(n)
+    star = sorted(poly.chords, key=lambda c: (c[0], -c[1]))
+    rng = np.random.default_rng(n)
+    groups_taken = {}  # relations closing at a step -> parity-table groups
+    for primitive_only in (False, True):
+        steps = _plan(n, _relation_masks(n, primitive_only))
+        for k, (d, terms, groups) in enumerate(steps):
+            groups_taken[terms.shape[1]] = len(groups)
+            assert sum(width for width, _, _ in groups) == terms.shape[1]
+            before = np.uint64(poly.mask(star[:k]))
+            x = rng.integers(0, 1 << 63, 256, dtype=np.uint64) & before
+            x[:2] = 0, before
+            np.testing.assert_array_equal(
+                _enumeration._extend(x, d, groups), _extend_by_popcount(x, d, terms)
+            )
+    if n == 12:
+        assert max(groups_taken) == 45 and groups_taken[45] == 2
 
 
 def _split_at_n(n):
