@@ -1,0 +1,188 @@
+"""Mutation checks: each named mutation must make the tier-1 tests fail.
+
+A mutation is one exact edit: a file under the repository root, an old text
+and the new text that replaces it. For each one the runner copies ``src/``,
+``tests/`` and ``pyproject.toml`` into a temporary directory, applies the
+edit there and runs the tier-1 tests on the copy, stopping at the first
+failure and leaving out the ``stretch`` tests. A mutation is killed when the
+tests fail.
+
+Every old text must occur exactly once in its file, so a refactor that moves
+the code breaks the list loudly: rewrite the mutation, or remove it and say
+why. The runner assumes tier-1 passes on the unmutated tree.
+
+    python mutants/run.py
+
+It prints killed or survived per mutation, with its time and the first
+failing test, and exits 1 if any mutation survives or any old text does not
+occur exactly once.
+"""
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# a mutation that hangs the tests is reported as killed once this runs out
+TIMEOUT_S = 600
+
+
+class Mutation(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+
+
+MUTATIONS = (
+    Mutation(
+        "odd-first-corner-flipped",
+        "src/usigns/monomial.py",
+        "return ((a > e) + (b > c) + (a > c) + (b > e)) & 1",
+        "return ((a < e) + (b > c) + (a > c) + (b > e)) & 1",
+    ),
+    Mutation(
+        "solve-certificate-dropped",
+        "src/usigns/solver.py",
+        "if at is None or _interlacing(poly, at) != pattern:",
+        "if at is None:",
+    ),
+    Mutation(
+        "interlacing-wraps-to-last-place",
+        "src/usigns/signs.py",
+        "w = [*at, at[0]]",
+        "w = [*at, at[-1]]",
+    ),
+    Mutation(
+        "rows-wrap-to-last-place",
+        "src/usigns/monomial.py",
+        "w = [*at, at[0]]",
+        "w = [*at, at[-1]]",
+    ),
+    Mutation(
+        "points-from-u-skips-u-values",
+        "src/usigns/points.py",
+        "if any(num * v.denominator != den * v.numerator for (num, den), v in terms):",
+        "if False:",
+    ),
+    Mutation(
+        "picker-longest-first",
+        "src/usigns/patterns.py",
+        "(d, i, j) if j - i == d else (d, j, poly.wrap(j + d))",
+        "(-d, i, j) if j - i == d else (-d, j, poly.wrap(j + d))",
+    ),
+    Mutation(
+        "extended-masks-drop-first-relation",
+        "src/usigns/relations.py",
+        "return masks[:1] if n == 4 else masks",
+        "return masks[:1] if n == 4 else masks[0 if primitive_only else 1:]",
+    ),
+    Mutation(
+        "parity-table-halves-swapped",
+        "src/usigns/_enumeration.py",
+        "terms = [held for held, _ in group] + [other for _, other in group]",
+        "terms = [other for _, other in group] + [held for held, _ in group]",
+    ),
+    Mutation(
+        "group-last-relation-dropped",
+        "src/usigns/_enumeration.py",
+        "terms = [held for held, _ in group] + [other for _, other in group]",
+        "terms = [held for held, _ in group[:-1]] + [0] + [other for _, other in group[:-1]] + [0]",
+    ),
+    Mutation(
+        "top-byte-column-skipped",
+        "src/usigns/_enumeration.py",
+        "for table, c in zip(tables[1:], columns[1:]):",
+        "for table, c in zip(tables[1:-1], columns[1:-1]):",
+    ),
+    Mutation(
+        "replay-swaps-wrong-place",
+        "src/usigns/solver.py",
+        "at[p - 1], at[b - 1] = at[b - 1], at[p - 1]",
+        "at[p - 1], at[b - 2] = at[b - 2], at[p - 1]",
+    ),
+    Mutation(
+        "matrix-pair-sign-flipped-from-n-9",
+        "src/usigns/solver.py",
+        "neg = [[1] * (n + 1) for _ in range(n)]",
+        "neg = [[1] * (n + 1) for _ in range(n)]\n    neg[1][n] ^= n >= 9",
+    ),
+)
+
+# the tier-1 command, without bytecode or cache files in the copy
+PYTEST = (
+    "-B", "-m", "pytest", "-q", "-x", "-m", "not stretch", "-p", "no:cacheprovider",
+    "--continue-on-collection-errors",
+)
+
+
+def misplaced(mutations) -> list[str]:
+    """One line per mutation whose old text does not occur exactly once."""
+    out = []
+    for m in mutations:
+        found = (ROOT / m.path).read_text().count(m.old)
+        if found != 1:
+            out.append(f"{m.name}: old text occurs {found} times in {m.path}")
+    return out
+
+
+def run(m: Mutation) -> tuple[bool, float, str]:
+    """(killed, seconds, first failing test or a note) for one mutation."""
+    with tempfile.TemporaryDirectory(prefix="usigns-mutant-") as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", "*.egg-info")
+        for tree in ("src", "tests"):
+            shutil.copytree(ROOT / tree, copy / tree, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+        target = copy / m.path
+        target.write_text(target.read_text().replace(m.old, m.new))
+        path = os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        # the copy, not an installed usigns, must be the one the tests import
+        where = subprocess.run(
+            [sys.executable, "-B", "-c", "import usigns; print(usigns.__file__)"],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+        if not where.stdout.startswith(str(copy)):
+            raise RuntimeError(f"{m.name}: usigns imports from {where.stdout or where.stderr}")
+        t0 = time.perf_counter()
+        try:
+            done = subprocess.run(
+                [sys.executable, *PYTEST], cwd=copy, env=env,
+                capture_output=True, text=True, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return True, time.perf_counter() - t0, f"timed out after {TIMEOUT_S} s"
+        seconds = time.perf_counter() - t0
+    if done.returncode not in (0, 1, 2):
+        raise RuntimeError(f"{m.name}: pytest exited {done.returncode}\n{done.stdout}{done.stderr}")
+    first = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
+    return done.returncode != 0, seconds, first.group(1) if first else ""
+
+
+def main() -> int:
+    errors = misplaced(MUTATIONS)
+    if errors:
+        print("\n".join(errors))
+        return 1
+    survivors = []
+    for m in MUTATIONS:
+        killed, seconds, first = run(m)
+        if not killed:
+            survivors.append(m.name)
+        verdict = "killed" if killed else "SURVIVED"
+        print(f"{verdict:8} {seconds:6.1f} s  {m.name}  {first}".rstrip(), flush=True)
+    print(f"{len(MUTATIONS) - len(survivors)} of {len(MUTATIONS)} killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -53,7 +53,6 @@ from .points import (
     cross_ratio,
     points_from_u,
     realize,
-    relations_vanish,
     signs_from_points,
     standard_gauge,
     u_values,

@@ -142,17 +142,6 @@ def _places(source: Sequence[int], target: Sequence[int]) -> list[int]:
     return [position[label] for label in source]
 
 
-def _corners(
-    poly: Polygon, source: Sequence[int], target: Sequence[int]
-) -> Iterator[tuple[int, int, int, int]]:
-    """Per source chord (i, j), in chord order: the target positions A, B, C,
-    E of the labels at source positions i, i+1, j, j+1 (mod n)."""
-    n = poly.n
-    at = _places(source, target)
-    for i, j in poly.chords:
-        yield at[i - 1], at[i % n], at[j - 1], at[j % n]
-
-
 def _odd(a: int, b: int, c: int, e: int) -> int:
     """1 if the image of the chord with corners A, B, C, E is negative (see
     ``_rows``), else 0."""
@@ -178,7 +167,10 @@ def _rows(
     parity of (A > E) + (B > C) + (A > C) + (B > E), the d's written against
     their sorted order.
     """
-    for a, b, c, e in _corners(poly, source, target):
+    at = _places(source, target)
+    w = [*at, at[0]]  # source position n + 1 is position 1
+    for i, j in poly.chords:
+        a, b, c, e = w[i - 1], w[i], w[j - 1], w[j]
         p, q, r, s = sorted((a, b, c, e))
         # p's partner names each pairing: q in X, r in Y, s in Z
         if p == a:

@@ -209,16 +209,6 @@ def signs_from_points(config: PointConfig) -> SignPattern:
     return SignPattern(config.n, bits)
 
 
-def relations_vanish(poly: Polygon, vals: Mapping[Chord, Fraction]) -> bool:
-    """Whether every extended u-relation holds exactly on the given values,
-    that is, whether ``points_from_u`` accepts them."""
-    try:
-        points_from_u(poly, vals)
-    except RelationViolationError:
-        return False
-    return True
-
-
 def _nonzero_values(poly: Polygon, vals: Mapping[Chord, Fraction]) -> list[Fraction]:
     """The value of every chord, in chord order, as a nonzero Fraction;
     a Fraction is passed through as it is."""

@@ -5,11 +5,12 @@
   double recursion on its chord bits, then sort.
 
 * ``solve`` decides with that matrix route and certifies its word by a round
-  trip: the pattern is consistent exactly when it is ``sign_of_ordering`` of
-  the word. It then replays the walk to the all-plus orthant: repeatedly pick
-  the shortest negative chord of the current chart's pattern and swap the two
-  labels sitting just inside it. A swap moves labels, not their places in the
-  word, so each state is read off those places in closed form.
+  trip: the pattern is consistent exactly when it is the word's interlacing
+  pattern, read off ``at``, the place in the word of each chart position's
+  label. It then replays the walk to the all-plus orthant from that ``at``:
+  repeatedly pick the shortest negative chord and swap the two labels just
+  inside it. A swap moves labels, not their places in the word, so each
+  state is read off ``at`` by the same reader, ``signs._interlacing``.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .monomial import _places
 from .ngon import Polygon, canonicalize
 from .patterns import SignPattern, shortest_negative, stats
-from .signs import _interlacing, sign_of_ordering
+from .signs import _interlacing
 
 
 class InconsistentPatternError(ValueError):
@@ -83,11 +84,11 @@ def default_iteration_bound(n: int) -> int:
 def solve(poly: Polygon, pattern: SignPattern) -> tuple[tuple[int, ...], SolverTrace]:
     """Canonical dihedral ordering whose component carries ``pattern``.
 
-    The matrix route proposes the ordering and ``sign_of_ordering`` certifies
-    it, or ``InconsistentPatternError`` is raised. The trace then replays the
-    walk: each step swaps the labels just inside the shortest negative chord,
-    and its pattern is read off the places of the chart's labels in the
-    ordering, with no transport table.
+    The matrix route proposes the ordering and its interlacing pattern
+    certifies it, or ``InconsistentPatternError`` is raised. The trace then
+    replays the walk from the same places: each step swaps the labels just
+    inside the shortest negative chord, and its pattern is read off the
+    places of the chart's labels in the ordering, with no transport table.
     """
     if pattern.n != poly.n:
         raise ValueError(f"pattern is for n={pattern.n}, polygon has n={poly.n}")
@@ -95,10 +96,11 @@ def solve(poly: Polygon, pattern: SignPattern) -> tuple[tuple[int, ...], SolverT
         found = ordering_from_sign_matrix(poly, reconstruct_sign_matrix(poly, pattern))
     except IntransitiveOrderError:
         found = None
-    if found is None or sign_of_ordering(poly, found) != pattern:
+    # found is canonical, so a permutation; at[k - 1] is the place of k's label
+    at = None if found is None else _places(poly.identity_word, found)
+    if at is None or _interlacing(poly, at) != pattern:
         raise InconsistentPatternError(f"no dihedral ordering has the pattern {pattern}")
     bound = default_iteration_bound(poly.n)
-    at = _places(poly.identity_word, found)  # place in found of each chart position's label
     current = pattern
     steps: list[TraceStep] = []
     pick = shortest_negative(current) if current.bits else None

@@ -10,10 +10,12 @@ from usigns import (
     PointConfig,
     Polygon,
     ProjectivePoint,
+    RelationViolationError,
     SignedMonomial,
     SignPattern,
     URelation,
     consistent_patterns,
+    points_from_u,
 )
 from usigns.ngon import _check_permutation
 
@@ -120,6 +122,16 @@ def coarsen(poly: Polygon, cuts: Sequence[int], pattern: SignPattern) -> SignPat
         if (pattern.bits & mask).bit_count() & 1:
             bits |= 1 << idx
     return SignPattern(k, bits)
+
+
+def relations_vanish(poly: Polygon, vals) -> bool:
+    """Whether every extended u-relation holds exactly on the values, that is,
+    whether ``points_from_u`` accepts them."""
+    try:
+        points_from_u(poly, vals)
+    except RelationViolationError:
+        return False
+    return True
 
 
 def transformed(config: PointConfig, matrix: Sequence[Sequence[Fraction]]) -> PointConfig:

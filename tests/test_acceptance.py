@@ -26,7 +26,6 @@ from usigns import (
     points_from_u,
     realize,
     reconstruct_sign_matrix,
-    relations_vanish,
     sign_of_ordering,
     solve,
     u_values,
@@ -281,7 +280,6 @@ def test_c09_oracle_identities():
         for word in all_orderings(poly):
             gauged = standard_gauge(realize(poly, word), 1, 2, n)
             vals = u_values(gauged)
-            assert relations_vanish(poly, vals)
             assert points_from_u(poly, vals).points == gauged.points
     report("09 oracle identities", f"5000 random configs + exact roundtrips in {time.time()-t0:.1f}s")
 

@@ -12,4 +12,4 @@ def test_all_names_resolve_and_hold_no_module():
     namespace: dict = {}
     exec("from usigns import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(usigns.__all__)
-    assert "relations_vanish" in namespace and "relations" not in namespace
+    assert "points_from_u" in namespace and "relations" not in namespace

@@ -19,13 +19,12 @@ from usigns import (
     extended_relations,
     points_from_u,
     realize,
-    relations_vanish,
     signs_from_points,
     u_values,
 )
 from usigns.points import standard_gauge
 
-from conftest import random_config, transformed
+from conftest import random_config, relations_vanish, transformed
 
 
 def test_projective_point_canonical_form():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -300,6 +301,17 @@ def test_lifted_patterns_coarsen_to_consistent(n):
     merge = tuple(range(1, n))
     for p in consistent_patterns(poly):
         assert is_consistent(small, coarsen(poly, merge, p))
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12, 13, 14, 20])
+def test_coarsening_keeps_consistency_past_exhaustive_range(n):
+    # seeded words and cut sets of every size 4..n-1, past the enumerator's n
+    poly, rng = Polygon(n), random.Random(2300 + n)
+    for _ in range(10):
+        pattern = sign_of_ordering(poly, rng.sample(range(1, n + 1), n))
+        for _ in range(20):
+            cuts = sorted(rng.sample(range(1, n + 1), rng.randint(4, n - 1)))
+            assert is_consistent(Polygon(len(cuts)), coarsen(poly, cuts, pattern))
 
 
 def test_lift_rejects_n_beyond_uint64():
