@@ -115,6 +115,24 @@ MUTATIONS = (
         "neg = [[1] * (n + 1) for _ in range(n)]",
         "neg = [[1] * (n + 1) for _ in range(n)]\n    neg[1][n] ^= n >= 9",
     ),
+    Mutation(
+        "parity-grid-corner-misread",
+        "src/usigns/signs.py",
+        "odd ^= P[q][s] ^ P[p][s] ^ P[q][r] ^ P[p][r]",
+        "odd ^= P[q][s] ^ P[p][r] ^ P[q][r] ^ P[p][r]",
+    ),
+    Mutation(
+        "transport-drops-wrapped-half",
+        "src/usigns/signs.py",
+        "P[r][s] ^ P[q][s] ^ P[p][r] ^ P[p][q]",
+        "P[r][s] ^ P[q][s]",
+    ),
+    Mutation(
+        "row-quotient-one-place-short",
+        "src/usigns/monomial.py",
+        "top *= up[x][s] // up[x][r]",
+        "top *= up[x][s - 1] // up[x][r]",
+    ),
 )
 
 # the tier-1 command, without bytecode or cache files in the copy

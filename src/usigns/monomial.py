@@ -14,9 +14,11 @@ points at those positions. Each source-chart u is a cross-ratio of four
 points, and so is plus or minus a ratio of two such rectangles, which are
 disjoint and sum to 1 by an extended u-relation. Every image exponent is -1,
 0 or 1; since the u's are multiplicatively independent, the image is the
-only monomial with that value. Each rectangle row is a run of chords
-contiguous in the canonical order, so a sign-transport table is a few bit
-blocks per chord, built without any monomial.
+only monomial with that value. A map keeps, per source chord, only its
+sign and the four corners and two exponents of its rectangles: a sign
+transport reads each rectangle's parity off a prefix-parity grid of the
+pattern at those corners, and evaluation reads each rectangle row's product
+as a quotient of two per-row prefix products, so neither builds a monomial.
 
 Direction convention: a map is a ring map, source-chart variables expressed
 in target-chart variables. ``map_for_ordering(word)`` goes from the chart of
@@ -31,11 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
-from typing import Iterator, Mapping, Sequence
+from operator import mul
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .ngon import Chord, Polygon, _check_permutation
-from .ngon import _cut_runs, _run_bits
+from .ngon import Chord, Polygon, _check_permutation, _cut_runs
 from .points import _nonzero_values
 
 Word = tuple[int, ...]
@@ -97,19 +98,25 @@ class MonomialMap:
         return Polygon(self.n)
 
     @cached_property
-    def _row_list(self) -> tuple[tuple[int, list[tuple[int, int, int]]], ...]:
-        """``_rows``, read once for ``images`` and ``transport_table``."""
+    def _row_list(self) -> tuple[tuple[int, int, int, int, int, int, int], ...]:
+        """``_rows``, read once for ``images``, ``evaluate`` and
+        ``signs.transport``."""
         return tuple(_rows(self.poly, self.source, self.target))
 
     @cached_property
     def images(self) -> tuple[SignedMonomial, ...]:
-        chords = self.poly.chords
+        poly = self.poly
+        chords = poly.chords
         return tuple(
             SignedMonomial(
                 -1 if odd else 1,
-                tuple((c, x) for k, size, x in runs for c in chords[k:k + size]),
+                tuple(
+                    (c, x)
+                    for k, size, x in _cut_runs(poly, *corners)
+                    for c in chords[k:k + size]
+                ),
             )
-            for odd, runs in self._row_list
+            for odd, *corners in self._row_list
         )
 
     def image(self, c: Chord) -> SignedMonomial:
@@ -129,12 +136,6 @@ class MonomialMap:
             for (i, j), mono in zip(self.poly.chords, self.images)
         )
 
-    def transport_table(self) -> tuple[tuple[int, int], ...]:
-        """(negative-bit, odd-exponent mask) per source chord, for fast sign
-        transport through this map. Every exponent is odd, so each run of
-        chords is one block of bits."""
-        return tuple((odd, _run_bits(runs)) for odd, runs in self._row_list)
-
 
 def _places(source: Sequence[int], target: Sequence[int]) -> list[int]:
     """Per source position, the target position of the label it holds."""
@@ -150,10 +151,11 @@ def _odd(a: int, b: int, c: int, e: int) -> int:
 
 def _rows(
     poly: Polygon, source: Word, target: Word
-) -> Iterator[tuple[int, list[tuple[int, int, int]]]]:
+) -> Iterator[tuple[int, int, int, int, int, int, int]]:
     """Per source chord, in chord order, of the chart change from the chart
-    of ``source`` to the chart of ``target``: its sign bit and its image as
-    the chord runs of ``ngon._cut_runs``.
+    of ``source`` to the chart of ``target``: ``(odd, p, q, r, s, e1, e2)``,
+    its sign bit and the cuts and exponents of its image, whose chord runs
+    ``ngon._cut_runs(poly, p, q, r, s, e1, e2)`` lists.
 
     For source chord (i, j), let A, B, C, E be the target positions of the
     labels at source positions i, i+1, j, j+1 (mod n), and d_xy the
@@ -182,7 +184,7 @@ def _rows(
         else:
             num, den = a, b
         e1, e2 = (num == s) - (den == s), (num == q) - (den == q)
-        yield _odd(a, b, c, e), _cut_runs(poly, p, q, r, s, e1, e2)
+        yield _odd(a, b, c, e), p, q, r, s, e1, e2
 
 
 def compose(outer: MonomialMap, inner: MonomialMap) -> MonomialMap:
@@ -225,20 +227,49 @@ def invert(m: MonomialMap) -> MonomialMap:
     return MonomialMap(m.n, m.target, m.source)
 
 
+def _row_prefixes(
+    poly: Polygon, values: Iterable[Any], op: Callable[[Any, Any], Any], unit: Any
+) -> list[list[Any]]:
+    """``rows[x][y]`` for 0 <= x <= n and 0 <= y <= n + 1: ``unit`` folded by
+    ``op`` with the values, given in chord order, of the chords (x, b) with
+    b < y. A rectangle row x, y in [y0, y1), is then read off its two ends."""
+    n = poly.n
+    rows = [[unit] * (n + 2) for _ in range(n + 1)]
+    for (x, y), v in zip(poly.chords, values):
+        row = rows[x]
+        row[y + 1] = op(row[y], v)
+    rows[1][n + 1] = rows[1][n]  # row 1 stops at (1, n - 1): (1, n) is no chord
+    return rows
+
+
 def evaluate(m: MonomialMap, vals: Mapping[Chord, Fraction]) -> dict[Chord, Fraction]:
     """Evaluate the map at nonzero target-chart values.
 
     Returns the value of every source chord: sign times the product of the
     target values raised to the image exponents, in exact arithmetic on
-    integer numerators and denominators, one run of chords at a time.
+    integer numerators and denominators. The numerator and denominator
+    products of a rectangle row are exact quotients of per-row prefix
+    products, so each chord costs one quotient pair per row.
     """
-    given = _nonzero_values(m.poly, vals)
-    nums, dens = [v.numerator for v in given], [v.denominator for v in given]
-    out = {}
-    for c, (odd, runs) in zip(m.poly.chords, m._row_list):
+    poly = m.poly
+    n, given = poly.n, _nonzero_values(poly, vals)
+    nums = _row_prefixes(poly, [v.numerator for v in given], mul, 1)
+    dens = _row_prefixes(poly, [v.denominator for v in given], mul, 1)
+    out, end = {}, n + 1
+    for c, (odd, p, q, r, s, e1, e2) in zip(poly.chords, m._row_list):
         top, bottom = -1 if odd else 1, 1
-        for k, size, x in runs:
-            p, q = prod(nums[k:k + size]), prod(dens[k:k + size])
-            top, bottom = (top * p, bottom * q) if x > 0 else (top * q, bottom * p)
+        if e1:  # R1: rows [p, q), columns [r, s)
+            up, down = (nums, dens) if e1 > 0 else (dens, nums)
+            for x in range(p, q):
+                top *= up[x][s] // up[x][r]
+                bottom *= down[x][s] // down[x][r]
+        if e2:  # R2: rows [1, p), columns [q, r), and rows [q, r), columns [s, n + 1)
+            up, down = (nums, dens) if e2 > 0 else (dens, nums)
+            for x in range(1, p):
+                top *= up[x][r] // up[x][q]
+                bottom *= down[x][r] // down[x][q]
+            for x in range(q, r):
+                top *= up[x][end] // up[x][s]
+                bottom *= down[x][end] // down[x][s]
         out[c] = Fraction(top, bottom)
     return out

@@ -10,26 +10,42 @@ to the ordering's chart.
 """
 from __future__ import annotations
 
+from operator import xor
 from typing import Sequence
 
 from .ngon import Polygon, _check_permutation
-from .monomial import MonomialMap, _odd, _places
+from .monomial import MonomialMap, _odd, _places, _row_prefixes
 from .patterns import SignPattern
 
-
-def _transport_bits(bits: int, table: tuple[tuple[int, int], ...]) -> int:
-    out = 0
-    for idx, (neg, mask) in enumerate(table):
-        if neg ^ ((bits & mask).bit_count() & 1):
-            out |= 1 << idx
-    return out
+# binary digits -> the bit values 0 and 1
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 def transport(pattern: SignPattern, m: MonomialMap) -> SignPattern:
-    """Pull a target-chart sign pattern back to the map's source chart."""
+    """Pull a target-chart sign pattern back to the map's source chart.
+
+    An image's sign is the map's sign times the parity of the pattern's
+    negative chords in each rectangle whose exponent is odd, that is,
+    nonzero. ``P[x][y]``, the parity of the negative chords (a, b) with
+    a < x and b < y, gives a rectangle's parity from its four corners.
+    """
     if pattern.n != m.n:
         raise ValueError(f"pattern is for n={pattern.n}, map for n={m.n}")
-    return SignPattern(m.n, _transport_bits(pattern.bits, m.transport_table()))
+    poly = m.poly
+    n = poly.n
+    bits = format(pattern.bits, f"0{poly.chord_count}b")[::-1].encode().translate(_BIT_VALUES)
+    P = [[0] * (n + 2)]
+    for row in _row_prefixes(poly, bits, xor, 0):
+        P.append(list(map(xor, P[-1], row)))
+    end = n + 1
+    digits = bytearray()
+    for odd, p, q, r, s, e1, e2 in m._row_list:
+        if e1:  # R1 = [p, q) x [r, s)
+            odd ^= P[q][s] ^ P[p][s] ^ P[q][r] ^ P[p][r]
+        if e2:  # R2 = [q, r) x [s, n + 1) and [1, p) x [q, r); P[1] is 0, as no chord has a < 1
+            odd ^= P[r][end] ^ P[q][end] ^ P[r][s] ^ P[q][s] ^ P[p][r] ^ P[p][q]
+        digits.append(48 + odd)
+    return SignPattern(n, int(digits[::-1], 2))
 
 
 def sign_of_ordering(poly: Polygon, word: Sequence[int]) -> SignPattern:

@@ -222,6 +222,17 @@ def reference_elementary_images(poly, k):
     return tuple(images)
 
 
+def transport_by_table(bits: int, table) -> int:
+    """Sign transport of ``bits`` through a table of (negative-bit, mask of
+    the chords with odd exponent) per source chord: the reference that
+    ``transport``, read off the rectangle corners, is checked against."""
+    out = 0
+    for idx, (neg, mask) in enumerate(table):
+        if neg ^ ((bits & mask).bit_count() & 1):
+            out |= 1 << idx
+    return out
+
+
 def table_from_images(poly, images):
     """Transport table read off full monomials: (negative-bit, mask of the
     chords with odd exponent) per image."""

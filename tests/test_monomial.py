@@ -406,18 +406,22 @@ def test_evaluate_negative_rationals_and_ints():
     assert evaluate(golden, vals)[(1, 3)] == Fraction(1, 2)  # -(-2) * (-2)^-1 * (-2)^-1
 
 
-@pytest.mark.parametrize("n", [8, 10, 12, 30])
+@pytest.mark.parametrize("n", [8, 10, 12, 30, 60])
 def test_evaluate_builds_no_monomials(n, monkeypatch):
-    # evaluate multiplies the chord runs of the chart-change rows; only
-    # images, image, render and is_identity build monomials
+    # evaluate reads each rectangle row off its corners; only images,
+    # image, render and is_identity build monomials or list chord runs
     def refuse(*args):
         raise AssertionError("built a SignedMonomial")
+
+    def refuse_runs(*args):
+        raise AssertionError("listed chord runs")
 
     poly = Polygon(n)
     rng = random.Random(1700 + n)
     base = random_config(rng, n, with_infinity=True)
     vals = u_values(base)
     monkeypatch.setattr(monomial, "SignedMonomial", refuse)
+    monkeypatch.setattr(monomial, "_cut_runs", refuse_runs)
     for _ in range(3):
         word = tuple(rng.sample(range(1, n + 1), n))
         out = evaluate(map_for_ordering(poly, word), vals)

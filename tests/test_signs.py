@@ -21,7 +21,7 @@ from usigns import (
     signs_from_points,
     transport,
 )
-from usigns.signs import _transport_bits
+from usigns import monomial
 
 from conftest import (
     PENTAGON_TABLE,
@@ -30,6 +30,7 @@ from conftest import (
     reference_elementary_images,
     rotate_pattern,
     table_from_images,
+    transport_by_table,
 )
 
 
@@ -62,7 +63,7 @@ def reference_sign_of_ordering(poly, word):
     tables = elementary_tables(poly.n)
     bits = 0
     for k in sort_positions(word):
-        bits = _transport_bits(bits, tables[k - 1])
+        bits = transport_by_table(bits, tables[k - 1])
     return SignPattern(poly.n, bits)
 
 
@@ -72,7 +73,7 @@ def chain(first, then):
     Transport is affine over GF(2): row r of the chain XORs the ``first``
     rows that ``then``'s mask_r selects, and the parity of their constants.
     """
-    shift = _transport_bits(0, first)
+    shift = transport_by_table(0, first)
     out = []
     for neg, mask in then:
         row = 0
@@ -219,32 +220,70 @@ def test_transport_functorial_stepwise():
         full = transport(s, map_for_ordering(poly, word))
         bits = s.bits
         for k in reversed(list(sort_positions(word))):
-            bits = _transport_bits(bits, elementary_tables(6)[k - 1])
+            bits = transport_by_table(bits, elementary_tables(6)[k - 1])
         assert full.bits == bits
+
+
+def assert_transports_by(m, table, patterns):
+    """``transport`` through ``m`` agrees with the reference ``table`` on
+    all-plus, all-minus and every given pattern."""
+    n = m.n
+    for bits in (0, SignPattern.all_minus(n).bits, *patterns):
+        assert transport(SignPattern(n, bits), m).bits == transport_by_table(bits, table)
 
 
 @pytest.mark.parametrize("n", range(4, 10))
 def test_transposition_table_matches_laurent_route(n):
-    # the closed-form table agrees with the GF(2) chain of elementary tables
+    # transport through the closed-form corners agrees with the GF(2) chain
+    # of elementary tables; transport is affine over GF(2), so all-plus and
+    # the single-chord patterns pin the whole table
+    m_chords = Polygon(n).chord_count
+    rng = random.Random(4100 + n)
+    singles = [1 << k for k in range(m_chords)]
     for p, q in itertools.permutations(range(1, n + 1), 2):
-        table = map_for_transposition(Polygon(n), p, q).transport_table()
-        assert table == reference_transposition_table(n, p, q)
+        randoms = [rng.getrandbits(m_chords) for _ in range(3)]
+        assert_transports_by(
+            map_for_transposition(Polygon(n), p, q),
+            reference_transposition_table(n, p, q),
+            singles + randoms,
+        )
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 12, 20, 40])
 def test_transport_table_matches_images(n):
-    # the bit blocks of the rectangle runs equal the table read off the full
-    # images: every word to and from the standard chart, and seeded pairs
+    # transport through the rectangle corners equals transport through the
+    # table read off the full images: every word to and from the standard
+    # chart, and seeded pairs
     poly = Polygon(n)
+    rng = random.Random(5150 + n)
     if n <= 7:
         pairs = [(w, poly.identity_word) for w in itertools.permutations(poly.identity_word)]
         pairs += [(target, source) for source, target in pairs]
     else:
-        rng = random.Random(5150 + n)
         pairs = [(rng.sample(range(1, n + 1), n), rng.sample(range(1, n + 1), n)) for _ in range(4)]
     for source, target in pairs:
         m = MonomialMap(n, source, target)
-        assert m.transport_table() == table_from_images(poly, m.images)
+        randoms = [rng.getrandbits(poly.chord_count) for _ in range(3)]
+        assert_transports_by(m, table_from_images(poly, m.images), randoms)
+
+
+@pytest.mark.parametrize("n", [8, 12, 30, 60, 120])
+def test_transport_builds_no_monomials(n, monkeypatch):
+    # transport reads each image's sign off the rectangle corners: it builds
+    # no monomial and lists no chord run
+    def refuse(*args):
+        raise AssertionError("built a SignedMonomial")
+
+    def refuse_runs(*args):
+        raise AssertionError("listed chord runs")
+
+    poly = Polygon(n)
+    rng = random.Random(1800 + n)
+    monkeypatch.setattr(monomial, "SignedMonomial", refuse)
+    monkeypatch.setattr(monomial, "_cut_runs", refuse_runs)
+    for _ in range(3):
+        word = tuple(rng.sample(range(1, n + 1), n))
+        assert transport(sign_of_ordering(poly, word), map_for_ordering(poly, word)).is_all_plus()
 
 
 @pytest.mark.parametrize("n", [7, 8])

@@ -106,8 +106,8 @@ def test_solve_builds_no_relation_masks():
 @pytest.mark.parametrize("n", [12, 30])
 def test_solve_builds_no_monomials(n, monkeypatch):
     # solve reads every walk state off the word and reads no chart-change
-    # rows; transport tables come from those rows, and compose and invert act
-    # on the words alone
+    # rows; transport reads the rectangle corners of those rows, and compose
+    # and invert act on the words alone
     def refuse(*args):
         raise AssertionError("built a SignedMonomial")
 
