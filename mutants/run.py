@@ -104,6 +104,30 @@ MUTATIONS = (
         "for table, c in zip(tables[1:-1], columns[1:-1]):",
     ),
     Mutation(
+        "sign-table-bit-order-big",
+        "src/usigns/_enumeration.py",
+        'axis=1, bitorder="little")',
+        'axis=1, bitorder="big")',
+    ),
+    Mutation(
+        "sign-table-drops-partial-byte",
+        "src/usigns/_enumeration.py",
+        "columns = (m + 7) // 8",
+        "columns = m // 8",
+    ),
+    Mutation(
+        "count-drops-xd-survivors",
+        "src/usigns/_enumeration.py",
+        "total += np.count_nonzero(keep_x) + np.count_nonzero(keep_xd)",
+        "total += np.count_nonzero(keep_x)",
+    ),
+    Mutation(
+        "final-block-not-halved",
+        "src/usigns/_enumeration.py",
+        "if j == len(steps) and len(y) <= _BLOCK_ENTRIES:",
+        "if j == len(steps):",
+    ),
+    Mutation(
         "replay-swaps-wrong-place",
         "src/usigns/solver.py",
         "at[p - 1], at[b - 1] = at[b - 1], at[p - 1]",

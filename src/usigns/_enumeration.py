@@ -19,7 +19,12 @@ XOR of its bytes' table entries, a few gathers over the frontier per group
 however many relations close at the step.
 
 A frontier that outgrows ``_BLOCK_ENTRIES`` patterns is cut into blocks that
-are finished depth-first, so memory stays bounded at every n.
+are finished depth-first, so memory stays bounded at every n. A count runs
+every step but the last and counts that step's survivors without gathering
+them.
+
+A written pattern is read a byte at a time: each of the bytes that hold chords
+picks the eight sign characters of its value from one 256-row table.
 """
 from __future__ import annotations
 
@@ -45,6 +50,11 @@ _WRITE_ROWS = 1 << 12
 
 # the sign character of a clear and of a set chord bit, as in SignPattern.__str__
 _SIGN_BYTES = np.frombuffer(b"+-", dtype=np.uint8)
+
+# row v: the sign characters of byte value v, its lowest bit first
+_SIGN_TABLE = _SIGN_BYTES[
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+]
 
 
 @lru_cache(maxsize=None)
@@ -102,18 +112,20 @@ def _parity_tables(rows: list[tuple[int, int]]) -> tuple:
     return tuple(groups)
 
 
-def _extend(x: np.ndarray, d: np.uint64, groups: tuple) -> np.ndarray:
-    """The patterns among x and x | d that no relation closing at d contradicts.
+def _survivors(x: np.ndarray, groups: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Two boolean masks over x: which of x, and which of x | d, no relation
+    closing at the step's chord d contradicts.
 
     Under x (d unset) a closing relation's term holding d has parity p0 and
     its other term parity p1; setting d flips p0. So x is contradicted when
     p0 and p1 are odd, x | d when p1 is odd and p0 even. Per group of
     relations the parities are read off x's bytes through the step's tables
     (see ``_parity_tables``): bit r of the signature is p0 of relation r and
-    bit width + r its p1.
+    bit width + r its p1. A step that closes nothing keeps every pattern.
     """
     if not groups:
-        return np.concatenate((x, x | d))
+        every = np.ones(len(x), dtype=bool)
+        return every, every
     xb = x.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)  # column c: byte c
     keep_x = keep_xd = None
     for width, columns, tables in groups:
@@ -128,6 +140,15 @@ def _extend(x: np.ndarray, d: np.uint64, groups: tuple) -> np.ndarray:
         else:
             keep_x &= ok_x
             keep_xd &= ok_xd
+    return keep_x, keep_xd
+
+
+def _extend(x: np.ndarray, d: np.uint64, groups: tuple) -> np.ndarray:
+    """The patterns among x and x | d that no relation closing at d
+    contradicts (see ``_survivors``)."""
+    if not groups:
+        return np.concatenate((x, x | d))
+    keep_x, keep_xd = _survivors(x, groups)
     # gathered by index: a boolean index, x[keep_x], took several times as
     # long on the mixed masks of a full block
     return np.concatenate((x.take(keep_x.nonzero()[0]), x.take(keep_xd.nonzero()[0]) | d))
@@ -143,23 +164,24 @@ def _grow(steps: tuple, k: int, x: np.ndarray) -> tuple[int, np.ndarray]:
     return k, x
 
 
-def _blocks(n: int, masks: tuple, progress=None) -> Iterator[np.ndarray]:
-    """The consistent n-gon patterns in uint64 blocks, in no set order.
+def _blocks(steps: tuple, progress=None) -> Iterator[np.ndarray]:
+    """The patterns that survive ``steps``, a run of ``_plan`` steps from the
+    first, in uint64 blocks, in no set order.
 
     The frontier grows from one zero pattern until it outgrows ``_BLOCK_ENTRIES``,
     then is cut into ``_TOP_BLOCKS`` top-level blocks. Each is finished
-    depth-first, a block that outgrows the size again being halved.
+    depth-first, a block that outgrows the size again being halved, so no
+    block yielded holds more than ``_BLOCK_ENTRIES`` patterns.
     ``progress(done, total)`` is called after each top-level block; a
     frontier that never outgrows the size is one top-level block.
     """
-    steps = _plan(n, masks)
     k, x = _grow(steps, 0, np.zeros(1, dtype=np.uint64))
     tops = np.array_split(x, _TOP_BLOCKS) if k < len(steps) else [x]
     for done, top in enumerate(tops, 1):
         stack = [(k, top)]
         while stack:
             j, y = _grow(steps, *stack.pop())
-            if j == len(steps):
+            if j == len(steps) and len(y) <= _BLOCK_ENTRIES:
                 yield y
             else:
                 half = len(y) // 2
@@ -170,8 +192,16 @@ def _blocks(n: int, masks: tuple, progress=None) -> Iterator[np.ndarray]:
 
 def count(n: int, masks: tuple, progress=None) -> int:
     """The number of n-gon patterns that contradict none of ``masks``; see
-    ``count_consistent``."""
-    return sum(len(block) for block in _blocks(n, masks, progress))
+    ``count_consistent``. The last step is counted from its survivors,
+    never gathered.
+    """
+    steps = _plan(n, masks)
+    _, _, groups = steps[-1]
+    total = 0
+    for block in _blocks(steps[:-1], progress):
+        keep_x, keep_xd = _survivors(block, groups)
+        total += np.count_nonzero(keep_x) + np.count_nonzero(keep_xd)
+    return int(total)
 
 
 def _sorted_bits(n: int, masks: tuple) -> np.ndarray:
@@ -184,7 +214,7 @@ def _sorted_bits(n: int, masks: tuple) -> np.ndarray:
     """
     bits = np.empty(0, dtype=np.uint64)
     size = 0
-    for block in _blocks(n, masks):
+    for block in _blocks(_plan(n, masks)):
         end = size + len(block)
         if end > len(bits):
             bits.resize(max(end, len(bits) * 5 // 4), refcheck=False)
@@ -206,18 +236,28 @@ def consistent_bits(n: int, masks: tuple) -> Iterator[int]:
 def write_consistent(n: int, masks: tuple, fh: BinaryIO) -> int:
     """Write every n-gon pattern consistent with ``masks`` to the binary file
     ``fh``, one ``str(SignPattern)`` line each in increasing order; the
-    number written.
-
-    Each slice of patterns is unpacked into one bit per byte, chord k being
-    column k, and mapped to its sign characters in a reused buffer.
+    number written. The lines are read off the patterns' bytes by
+    ``_write_lines``.
     """
     bits = _sorted_bits(n, masks)
-    m = Polygon(n).chord_count
+    _write_lines(bits, Polygon(n).chord_count, fh)
+    return len(bits)
+
+
+def _write_lines(bits: np.ndarray, m: int, fh: BinaryIO) -> None:
+    """Write the m-chord patterns ``bits`` to ``fh``, one ``str(SignPattern)``
+    line each, ``_WRITE_ROWS`` at a time.
+
+    Each byte of a pattern that holds chords picks its eight sign characters
+    from ``_SIGN_TABLE``, gathered as one uint64 per byte; the first m
+    characters go into a reused line buffer.
+    """
+    words = _SIGN_TABLE.view(np.uint64).ravel()  # row v as one 8-byte word
+    columns = (m + 7) // 8
     lines = np.full((_WRITE_ROWS, m + 1), ord("\n"), dtype=np.uint8)
     for start in range(0, len(bits), _WRITE_ROWS):
         chunk = bits[start : start + _WRITE_ROWS].astype("<u8", copy=False)
-        signs = np.unpackbits(chunk.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+        signs = words.take(chunk.view(np.uint8).reshape(-1, 8)[:, :columns])
         rows = lines[: len(chunk)]
-        np.take(_SIGN_BYTES, signs[:, :m], out=rows[:, :m])
+        rows[:, :m] = signs.view(np.uint8)[:, :m]
         fh.write(rows)
-    return len(bits)

@@ -269,8 +269,10 @@ def test_count_out_matches_sign_pattern_str(n, primitive_only, tmp_path, capsys)
         ),
         # 20 160 patterns: five write slices, the last one partial
         (["9"], "2dd624e8865f183459481f0168cf4397852d860012da7e7bb442e7c34cfe7e21"),
+        # 181 440 patterns over five byte columns: 45 write slices, the last one partial
+        (["10"], "26eff3e93706d5089311d1d14e90c3edbe248a79694abfbe844f4ce9b358aa1e"),
     ],
-    ids=["8", "8-primitive", "9"],
+    ids=["8", "8-primitive", "9", "10"],
 )
 def test_count_out_pinned_digest(argv, digest, tmp_path, capsys):
     path = tmp_path / "patterns.txt"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import random
@@ -332,6 +333,56 @@ def test_count_progress_counts_blocks(monkeypatch):
             got = count_consistent(poly, primitive_only, progress=lambda *a: calls.append(a))
             assert got == expected
             assert calls == [(k, blocks) for k in range(1, blocks + 1)]
+
+
+def _survivor_count_cases():
+    """(n, primitive_only, block_entries): every n at the default size, and
+    blocks of 32 and of 1 up to where each case takes about 3 s.
+
+    Small blocks extend a few patterns per numpy call: blocks of 32 take
+    5 s at n = 9 primitive-only, and blocks of 1 take 3.6 s at n = 9 and
+    minutes at n = 9 primitive-only and at n = 10.
+    """
+    cases = [(n, False, None) for n in range(4, 11)] + [(n, True, None) for n in range(4, 10)]
+    cases += [(n, False, 32) for n in range(4, 11)] + [(n, True, 32) for n in range(4, 9)]
+    cases += [(n, p, 1) for n in range(4, 9) for p in (False, True)]
+    return cases
+
+
+@pytest.mark.parametrize("n, primitive_only, block_entries", _survivor_count_cases())
+def test_count_from_last_survivors_matches_stream(n, primitive_only, block_entries, monkeypatch):
+    # count stops a step short and counts the last step's survivors; the
+    # stream gathers them. Blocks of 1 and of 32 (from n = 7) are cut early,
+    # and some outgrow the size only at the step before the last
+    if block_entries is not None:
+        monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", block_entries)
+    masks = _relation_masks(n, primitive_only)
+    assert _enumeration.count(n, masks) == len(_enumeration._sorted_bits(n, masks))
+
+
+def test_blocks_never_outgrow_the_block_size(monkeypatch):
+    # a block that outgrows the size at the end of its steps is halved before
+    # it is yielded, so count's survivor check never runs on more patterns
+    monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", 32)
+    for primitive_only in (False, True):
+        steps = _plan(8, _relation_masks(8, primitive_only))
+        for run in (steps, steps[:-1]):
+            assert max(len(block) for block in _enumeration._blocks(run)) <= 32
+
+
+@pytest.mark.parametrize(
+    "n, rows", [(n, 500) for n in range(4, 13)] + [(9, _enumeration._WRITE_ROWS + 1)]
+)
+def test_write_lines_matches_sign_pattern_str(n, rows):
+    # m = 2..54 chords over 1 to 7 byte columns, the last one partial, and
+    # one row past a full slice: seeded random patterns, plus the all-plus
+    # and all-minus ones
+    m = Polygon(n).chord_count
+    bits = np.random.default_rng(2500 + n + rows).integers(0, 1 << m, rows, dtype=np.uint64)
+    bits[:2] = 0, (1 << m) - 1
+    fh = io.BytesIO()
+    _enumeration._write_lines(bits, m, fh)
+    assert fh.getvalue() == "".join(f"{SignPattern(n, int(b))}\n" for b in bits).encode()
 
 
 def test_stream_matches_count():
