@@ -128,6 +128,24 @@ MUTATIONS = (
         "if j == len(steps):",
     ),
     Mutation(
+        "merge-adds-one-per-pattern",
+        "src/usigns/_enumeration.py",
+        "np.add.at(total, coordinate, w)",
+        "np.add.at(total, coordinate, 1)",
+    ),
+    Mutation(
+        "coordinate-skips-last-column",
+        "src/usigns/_enumeration.py",
+        "coordinate = _read(x, columns, tables)",
+        "coordinate = _read(x, columns[:-1], tables[:-1])",
+    ),
+    Mutation(
+        "basis-drops-opening-relations",
+        "src/usigns/_enumeration.py",
+        "if first <= s < last",
+        "if first < s < last",
+    ),
+    Mutation(
         "replay-swaps-wrong-place",
         "src/usigns/solver.py",
         "at[p - 1], at[b - 1] = at[b - 1], at[p - 1]",

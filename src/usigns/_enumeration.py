@@ -21,7 +21,12 @@ however many relations close at the step.
 A frontier that outgrows ``_BLOCK_ENTRIES`` patterns is cut into blocks that
 are finished depth-first, so memory stays bounded at every n. A count runs
 every step but the last and counts that step's survivors without gathering
-them.
+them. It also merges: later checks read a partial pattern only through its
+parities against the open relations' terms, so where those span r < (chords
+set) dimensions over GF(2), a block of over 2^r patterns keeps one pattern
+per parity state, weighted (exact int64) by how many it stands for.
+Primitive plans merge from n = 6; extended ones never before the last step,
+so their counts and every stream do no merge work.
 
 A written pattern is read a byte at a time: each of the bytes that hold chords
 picks the eight sign characters of its value from one 256-row table.
@@ -58,58 +63,82 @@ _SIGN_TABLE = _SIGN_BYTES[
 
 
 @lru_cache(maxsize=None)
-def _plan(n: int, masks: tuple[tuple[int, int], ...]) -> tuple:
-    """The frontier's extension steps: per chord d in star order, (bit of d,
-    terms, groups), where ``terms[0, r]`` is the mask of the term of the r-th
-    relation closing at d that holds d, with d removed, and ``terms[1, r]``
-    is the mask of its other term; ``groups`` are the parity tables of
-    ``terms`` (see ``_parity_tables``). A step that closes nothing doubles the
-    frontier.
+def _plan(n: int, masks: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple]:
+    """The frontier's extension steps and their merge keys, per chord d in
+    star order. A step is (bit of d, terms, groups), where ``terms[0, r]``
+    is the mask of the term of the r-th relation closing at d that holds d,
+    with d removed, and ``terms[1, r]`` is the mask of its other term;
+    ``groups`` are the parity tables of ``terms`` (see ``_parity_tables``).
+    A key is (r, ``_byte_tables`` of a basis) where the terms of the
+    relations open after the step, cut to the chords set, have GF(2) rank
+    r below the number of those chords, else None.
     """
     poly = Polygon(n)
     order = sorted(range(poly.chord_count), key=lambda k: (poly.chords[k][0], -poly.chords[k][1]))
     rank = {k: s for s, k in enumerate(order)}
     closing: list[list[tuple[int, int]]] = [[] for _ in order]
+    spans = []
     for m1, m2 in masks:
-        last = max(rank[k] for k in range(poly.chord_count) if (m1 | m2) >> k & 1)
-        d = 1 << order[last]
-        closing[last].append((m1 ^ d, m2) if m1 & d else (m2 ^ d, m1))
-    steps = []
-    for k, rows in zip(order, closing):
+        held = sorted(rank[k] for k in range(poly.chord_count) if (m1 | m2) >> k & 1)
+        spans.append((held[0], held[-1], m1, m2))
+        d = 1 << order[held[-1]]
+        closing[held[-1]].append((m1 ^ d, m2) if m1 & d else (m2 ^ d, m1))
+    steps, keys, done = [], [], 0
+    for s, (k, rows) in enumerate(zip(order, closing)):
         terms = np.array(rows, dtype=np.uint64).reshape(-1, 2).T.copy()
         terms.setflags(write=False)  # shared by every caller of the cache
         steps.append((np.uint64(1 << k), terms, _parity_tables(rows)))
-    return tuple(steps)
+        done |= 1 << k
+        basis: dict[int, int] = {}  # leading bit -> reduced term mask
+        for t in (t & done for first, last, *ts in spans if first <= s < last for t in ts):
+            while t and t.bit_length() in basis:
+                t ^= basis[t.bit_length()]
+            if t:
+                basis[t.bit_length()] = t
+            if len(basis) > s:  # full rank: nothing to merge
+                break
+        r = len(basis)
+        keys.append((r, *_byte_tables(list(basis.values()))) if r <= s else None)
+    return tuple(steps), tuple(keys)
 
 
 def _parity_tables(rows: list[tuple[int, int]]) -> tuple:
     """The closing relations ``rows`` of one step, (held, other) term masks,
-    as groups of at most ``_GROUP`` relations: per group (width, columns,
-    tables), ``width`` its number of relations.
-
-    ``columns`` are the bytes of the pattern word, 0 the lowest, that any
-    term of the group touches, and ``tables[i, v]`` has bit r set to the
-    parity of v & byte ``columns[i]`` of the held term of the group's r-th
-    relation and bit width + r to that of its other term. The XOR of
-    ``tables[i, byte columns[i] of x]`` over i is then x's parity signature.
-    It is held in the narrowest of uint16, uint32 and uint64 that takes
-    2 * width bits.
+    as groups of at most ``_GROUP`` relations: per group its number of
+    relations and the ``_byte_tables`` of its held terms, then other terms.
     """
-    v = np.arange(256, dtype=np.uint64)
     groups = []
     for s in range(0, len(rows), _GROUP):
         group = rows[s : s + _GROUP]
-        width = len(group)
         terms = [held for held, _ in group] + [other for _, other in group]
-        columns = tuple(c for c in range(8) if any(t >> 8 * c & 0xFF for t in terms))
-        term_bytes = np.array([[t >> 8 * c & 0xFF for t in terms] for c in columns], dtype=np.uint64)
-        odd = np.bitwise_count(term_bytes[:, :, None] & v) & np.uint64(1)
-        place = np.arange(2 * width, dtype=np.uint64)[:, None]
-        dtype = np.uint16 if width <= 8 else np.uint32 if width <= 16 else np.uint64
-        tables = np.bitwise_or.reduce(odd << place, axis=1).astype(dtype)
-        tables.setflags(write=False)
-        groups.append((width, columns, tables))
+        groups.append((len(group), *_byte_tables(terms)))
     return tuple(groups)
+
+
+def _byte_tables(terms: list[int]) -> tuple:
+    """(columns, tables): the bytes of the pattern word, 0 the lowest, that
+    any of ``terms`` touches (byte 0 if none does), and per column a table
+    whose entry v has bit j set to the parity of v & that byte of terms[j],
+    in the narrowest of uint16, uint32 and uint64 that holds len(terms) bits.
+    """
+    v = np.arange(256, dtype=np.uint64)
+    columns = tuple(c for c in range(8) if any(t >> 8 * c & 0xFF for t in terms)) or (0,)
+    term_bytes = np.array([[t >> 8 * c & 0xFF for t in terms] for c in columns], dtype=np.uint64)
+    odd = np.bitwise_count(term_bytes[:, :, None] & v) & np.uint64(1)
+    place = np.arange(len(terms), dtype=np.uint64)[:, None]
+    dtype = np.uint16 if len(terms) <= 16 else np.uint32 if len(terms) <= 32 else np.uint64
+    tables = np.bitwise_or.reduce(odd << place, axis=1).astype(dtype)
+    tables.setflags(write=False)  # shared by every caller of the cache
+    return columns, tables
+
+
+def _read(x: np.ndarray, columns: tuple, tables: np.ndarray) -> np.ndarray:
+    """Per pattern of x, the XOR of ``tables[i, byte columns[i]]`` over i."""
+    xb = x.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)  # column c: byte c
+    out = tables[0].take(xb[:, columns[0]])
+    for table, c in zip(tables[1:], columns[1:]):
+        out ^= table.take(xb[:, c])
+    return out
 
 
 def _survivors(x: np.ndarray, groups: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -120,18 +149,14 @@ def _survivors(x: np.ndarray, groups: tuple) -> tuple[np.ndarray, np.ndarray]:
     its other term parity p1; setting d flips p0. So x is contradicted when
     p0 and p1 are odd, x | d when p1 is odd and p0 even. Per group of
     relations the parities are read off x's bytes through the step's tables
-    (see ``_parity_tables``): bit r of the signature is p0 of relation r and
-    bit width + r its p1. A step that closes nothing keeps every pattern.
+    (see ``_parity_tables``). A step that closes nothing keeps every pattern.
     """
     if not groups:
         every = np.ones(len(x), dtype=bool)
         return every, every
-    xb = x.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)  # column c: byte c
     keep_x = keep_xd = None
     for width, columns, tables in groups:
-        signature = tables[0].take(xb[:, columns[0]])
-        for table, c in zip(tables[1:], columns[1:]):
-            signature ^= table.take(xb[:, c])
+        signature = _read(x, columns, tables)
         odd = signature >> width  # p1 per relation
         both = odd & signature  # p0 and p1
         ok_x, ok_xd = both == 0, both == odd
@@ -143,30 +168,55 @@ def _survivors(x: np.ndarray, groups: tuple) -> tuple[np.ndarray, np.ndarray]:
     return keep_x, keep_xd
 
 
-def _extend(x: np.ndarray, d: np.uint64, groups: tuple) -> np.ndarray:
+def _extend(x: np.ndarray, w, d: np.uint64, groups: tuple) -> tuple:
     """The patterns among x and x | d that no relation closing at d
-    contradicts (see ``_survivors``)."""
+    contradicts (see ``_survivors``), with their weights taken from w, if any."""
     if not groups:
-        return np.concatenate((x, x | d))
+        return np.concatenate((x, x | d)), None if w is None else np.concatenate((w, w))
     keep_x, keep_xd = _survivors(x, groups)
     # gathered by index: a boolean index, x[keep_x], took several times as
     # long on the mixed masks of a full block
-    return np.concatenate((x.take(keep_x.nonzero()[0]), x.take(keep_xd.nonzero()[0]) | d))
+    index = np.concatenate((keep_x.nonzero()[0], keep_xd.nonzero()[0]))
+    y = x.take(index)
+    y[np.count_nonzero(keep_x) :] |= d
+    return y, None if w is None else w.take(index)
 
 
-def _grow(steps: tuple, k: int, x: np.ndarray) -> tuple[int, np.ndarray]:
-    """Extend frontier x from step k until the last step or until it
-    outgrows ``_BLOCK_ENTRIES``; the step reached and the frontier."""
+def _merge(x: np.ndarray, w, key: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """One pattern of x per coordinate ``key`` reads, weighted by the int64
+    total of w there (w None weighs one a pattern). Patterns at a coordinate
+    agree on every open term parity, so later checks treat them alike."""
+    r, columns, tables = key
+    coordinate = _read(x, columns, tables)
+    if w is None:
+        total = np.bincount(coordinate, minlength=1 << r)
+    else:
+        total = np.zeros(1 << r, dtype=np.int64)
+        np.add.at(total, coordinate, w)
+    held = np.empty(1 << r, dtype=np.uint64)
+    held[coordinate] = x
+    occupied = total.nonzero()[0]
+    return held.take(occupied), total.take(occupied)
+
+
+def _grow(steps: tuple, keys, k: int, x: np.ndarray, w) -> tuple:
+    """Extend frontier x, of weights w, from step k until the last step or
+    until it outgrows ``_BLOCK_ENTRIES``; (step reached, x, w). Within the
+    size, x is merged where it outgrows the 2^r coordinates of a step's key."""
     while k < len(steps) and len(x) <= _BLOCK_ENTRIES:
         d, _, groups = steps[k]
-        x = _extend(x, d, groups)
+        x, w = _extend(x, w, d, groups)
+        key = keys and keys[k]
+        if key and 1 << key[0] < len(x) <= _BLOCK_ENTRIES:
+            x, w = _merge(x, w, key)
         k += 1
-    return k, x
+    return k, x, w
 
 
-def _blocks(steps: tuple, progress=None) -> Iterator[np.ndarray]:
+def _blocks(steps: tuple, keys=None, progress=None) -> Iterator[tuple]:
     """The patterns that survive ``steps``, a run of ``_plan`` steps from the
-    first, in uint64 blocks, in no set order.
+    first, in uint64 blocks, in no set order, each with its weights: None
+    without the plan's merge ``keys``, or before a block's first merge.
 
     The frontier grows from one zero pattern until it outgrows ``_BLOCK_ENTRIES``,
     then is cut into ``_TOP_BLOCKS`` top-level blocks. Each is finished
@@ -175,32 +225,40 @@ def _blocks(steps: tuple, progress=None) -> Iterator[np.ndarray]:
     ``progress(done, total)`` is called after each top-level block; a
     frontier that never outgrows the size is one top-level block.
     """
-    k, x = _grow(steps, 0, np.zeros(1, dtype=np.uint64))
-    tops = np.array_split(x, _TOP_BLOCKS) if k < len(steps) else [x]
+    k, x, w = _grow(steps, keys, 0, np.zeros(1, dtype=np.uint64), None)
+    tops = list(_split(x, w, _TOP_BLOCKS)) if k < len(steps) else [(x, w)]
     for done, top in enumerate(tops, 1):
-        stack = [(k, top)]
+        stack = [(k, *top)]
         while stack:
-            j, y = _grow(steps, *stack.pop())
+            j, y, v = _grow(steps, keys, *stack.pop())
             if j == len(steps) and len(y) <= _BLOCK_ENTRIES:
-                yield y
+                yield y, v
             else:
-                half = len(y) // 2
-                stack += [(j, y[half:]), (j, y[:half])]
+                stack += [(j, *half) for half in _split(y, v, 2)]
         if progress is not None:
             progress(done, len(tops))
 
 
+def _split(x: np.ndarray, w, parts: int) -> Iterator[tuple]:
+    """(x, w) cut into ``parts`` runs of views."""
+    return zip(np.array_split(x, parts), [None] * parts if w is None else np.array_split(w, parts))
+
+
 def count(n: int, masks: tuple, progress=None) -> int:
     """The number of n-gon patterns that contradict none of ``masks``; see
-    ``count_consistent``. The last step is counted from its survivors,
-    never gathered.
+    ``count_consistent``. The walk merges patterns where the plan's keys
+    allow (see ``_merge``); the last step adds its survivors' weights
+    without gathering them.
     """
-    steps = _plan(n, masks)
+    steps, keys = _plan(n, masks)
     _, _, groups = steps[-1]
     total = 0
-    for block in _blocks(steps[:-1], progress):
+    for block, w in _blocks(steps[:-1], keys, progress):
         keep_x, keep_xd = _survivors(block, groups)
-        total += np.count_nonzero(keep_x) + np.count_nonzero(keep_xd)
+        if w is None:
+            total += np.count_nonzero(keep_x) + np.count_nonzero(keep_xd)
+        else:
+            total += w.sum(where=keep_x) + w.sum(where=keep_xd)
     return int(total)
 
 
@@ -214,7 +272,8 @@ def _sorted_bits(n: int, masks: tuple) -> np.ndarray:
     """
     bits = np.empty(0, dtype=np.uint64)
     size = 0
-    for block in _blocks(_plan(n, masks)):
+    steps, _ = _plan(n, masks)
+    for block, _ in _blocks(steps):
         end = size + len(block)
         if end > len(bits):
             bits.resize(max(end, len(bits) * 5 // 4), refcheck=False)

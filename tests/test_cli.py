@@ -114,7 +114,7 @@ def test_count_primitive_only_warns_before_brute_force(capsys, monkeypatch):
     assert code == 0 and calls == [(11, True)]
     warnings = [line for line in err.splitlines() if line.startswith("warning:")]
     assert len(warnings) == 1
-    assert "n=11 takes about 5 minutes" in warnings[0]
+    assert "n=11 takes about 3 minutes" in warnings[0]
     code, _, err = run(capsys, "count", "12", "--primitive-only", "--json")
     assert code == 0 and "n=12 takes far longer than n=11 (unmeasured)" in err
     for argv in (("count", "10", "--primitive-only"), ("count", "12")):

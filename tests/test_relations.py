@@ -362,12 +362,67 @@ def test_count_from_last_survivors_matches_stream(n, primitive_only, block_entri
 
 def test_blocks_never_outgrow_the_block_size(monkeypatch):
     # a block that outgrows the size at the end of its steps is halved before
-    # it is yielded, so count's survivor check never runs on more patterns
+    # it is yielded, so count's survivor check never runs on more patterns;
+    # with merge keys no weight array outgrows the size either, and every
+    # merge table is smaller than the block it merges
     monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", 32)
+    merged = []
+    merge = _enumeration._merge
+
+    def recorded(x, w, key):
+        merged.append((1 << key[0], len(x), w is not None))
+        return merge(x, w, key)
+
+    monkeypatch.setattr(_enumeration, "_merge", recorded)
     for primitive_only in (False, True):
-        steps = _plan(8, _relation_masks(8, primitive_only))
-        for run in (steps, steps[:-1]):
-            assert max(len(block) for block in _enumeration._blocks(run)) <= 32
+        masks = _relation_masks(8, primitive_only)
+        # the second half of the relations merges within blocks of 32
+        for relations in (masks, masks[len(masks) // 2 :]):
+            steps, keys = _plan(8, relations)
+            for run, merge_keys in itertools.product((steps, steps[:-1]), (None, keys)):
+                blocks = list(_enumeration._blocks(run, merge_keys))
+                assert max(len(block) for block, _ in blocks) <= 32
+                assert all(w is None or len(w) == len(block) for block, w in blocks)
+                if merge_keys is None:
+                    assert all(w is None for _, w in blocks)
+    assert any(weighted for _, _, weighted in merged)
+    assert all(table < block <= 32 for table, block, _ in merged)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_extended_plans_never_merge(n):
+    # the open extended relations span every chord set until the last step,
+    # so the extended count, streams and count --out do no merge work; the
+    # primitive ones leave parity states to merge from n = 6
+    _, extended = _plan(n, _relation_masks(n, False))
+    _, primitive = _plan(n, _relation_masks(n, True))
+    assert not any(extended[:-1])
+    assert n < 6 or any(primitive[:-1])
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("block_entries", [None, 32])
+def test_merged_count_of_relation_subsets(n, block_entries, monkeypatch):
+    # seeded random sub-tuples of each mode's masks leave chords and parity
+    # states free at steps the full relation sets never reach, so merges fire
+    # there; the count equals the stream, which never merges
+    if block_entries is not None:
+        monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", block_entries)
+    rng = random.Random(2600 + n)
+    merges = []
+    merge = _enumeration._merge
+
+    def counted(x, w, key):
+        merges.append(key[0])
+        return merge(x, w, key)
+
+    monkeypatch.setattr(_enumeration, "_merge", counted)
+    for primitive_only in (False, True):
+        masks = _relation_masks(n, primitive_only)
+        for _ in range(6):
+            subset = tuple(rng.sample(masks, rng.randint(1, len(masks) - 1)))
+            assert _enumeration.count(n, subset) == len(_enumeration._sorted_bits(n, subset))
+    assert merges
 
 
 @pytest.mark.parametrize(
@@ -514,7 +569,7 @@ def test_plan_checks_each_relation_once_at_its_last_chord(n):
     star = sorted(poly.chords, key=lambda c: (c[0], -c[1]))
     for primitive_only in (False, True):
         masks = _relation_masks(n, primitive_only)
-        steps = _plan(n, masks)
+        steps, _ = _plan(n, masks)
         assert len(steps) == len(star)
         checked = Counter()
         for k, (d, terms, _) in enumerate(steps):
@@ -533,7 +588,7 @@ def test_lift_plan_reads_cut_at_n_rows(n):
     # (a, b, c, n) at chord (c - 1, n), in cut order
     poly = Polygon(n)
     star = sorted(poly.chords, key=lambda c: (c[0], -c[1]))
-    steps = _plan(n, _relation_masks(n, False))
+    steps, _ = _plan(n, _relation_masks(n, False))
     assert len(steps) == len(star)
     relations = _extended_by_cuts(poly)
     got, expected = [], []
@@ -566,16 +621,18 @@ def test_extend_matches_popcount_reference(n):
     rng = np.random.default_rng(n)
     groups_taken = {}  # relations closing at a step -> parity-table groups
     for primitive_only in (False, True):
-        steps = _plan(n, _relation_masks(n, primitive_only))
+        steps, _ = _plan(n, _relation_masks(n, primitive_only))
         for k, (d, terms, groups) in enumerate(steps):
             groups_taken[terms.shape[1]] = len(groups)
             assert sum(width for width, _, _ in groups) == terms.shape[1]
             before = np.uint64(poly.mask(star[:k]))
             x = rng.integers(0, 1 << 63, 256, dtype=np.uint64) & before
             x[:2] = 0, before
-            np.testing.assert_array_equal(
-                _enumeration._extend(x, d, groups), _extend_by_popcount(x, d, terms)
-            )
+            y, w = _enumeration._extend(x, np.arange(len(x)), d, groups)
+            np.testing.assert_array_equal(y, _extend_by_popcount(x, d, terms))
+            # each weight follows its pattern; no weights stay none
+            np.testing.assert_array_equal(x[w], y & ~d)
+            assert _enumeration._extend(x, None, d, groups)[1] is None
     if n == 12:
         assert max(groups_taken) == 45 and groups_taken[45] == 2
 
