@@ -140,10 +140,40 @@ MUTATIONS = (
         "coordinate = _read(x, columns[:-1], tables[:-1])",
     ),
     Mutation(
-        "basis-drops-opening-relations",
+        "basis-drops-next-closing-relations",
         "src/usigns/_enumeration.py",
-        "if first <= s < last",
-        "if first < s < last",
+        "for later in closing[s + 1 :]",
+        "for later in closing[s + 2 :]",
+    ),
+    Mutation(
+        "first-frontier-cut-drops-weights",
+        "src/usigns/_enumeration.py",
+        "tops = list(_split(x, w, _TOP_BLOCKS))",
+        "tops = list(_split(x, None, _TOP_BLOCKS))",
+    ),
+    Mutation(
+        "first-frontier-keeps-one-block",
+        "src/usigns/_enumeration.py",
+        "_BLOCK_ENTRIES << (k == 0 and",
+        "_BLOCK_ENTRIES << (k == -1 and",
+    ),
+    Mutation(
+        "first-frontier-grows-four-blocks",
+        "src/usigns/_enumeration.py",
+        "_BLOCK_ENTRIES << (k == 0 and",
+        "_BLOCK_ENTRIES << 2 * (k == 0 and",
+    ),
+    Mutation(
+        "merge-only-within-block-size",
+        "src/usigns/_enumeration.py",
+        "if key and 1 << key[0] < len(x):",
+        "if key and 1 << key[0] < len(x) <= _BLOCK_ENTRIES:",
+    ),
+    Mutation(
+        "grow-merges-with-next-key",
+        "src/usigns/_enumeration.py",
+        "key = keys and keys[k]",
+        "key = keys and keys[min(k + 1, len(keys) - 1)]",
     ),
     Mutation(
         "replay-swaps-wrong-place",

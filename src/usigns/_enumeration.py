@@ -23,10 +23,13 @@ are finished depth-first, so memory stays bounded at every n. A count runs
 every step but the last and counts that step's survivors without gathering
 them. It also merges: later checks read a partial pattern only through its
 parities against the open relations' terms, so where those span r < (chords
-set) dimensions over GF(2), a block of over 2^r patterns keeps one pattern
-per parity state, weighted (exact int64) by how many it stands for.
-Primitive plans merge from n = 6; extended ones never before the last step,
-so their counts and every stream do no merge work.
+set) dimensions over GF(2), a frontier of over 2^r patterns keeps one pattern
+per parity state, weighted (exact int64) by how many it stands for. If the
+walk merges, the first frontier, which every block shares, may grow to twice
+the block size before it is cut, so its states merge once and not per block;
+no merge reads over four block sizes. Primitive plans merge from n = 6;
+extended ones never before the last step, so their counts and every stream
+do no merge work and cut the first frontier at one block size.
 
 A written pattern is read a byte at a time: each of the bytes that hold chords
 picks the eight sign characters of its value from one 256-row table.
@@ -46,8 +49,8 @@ _BLOCK_ENTRIES = 1 << 16
 # most relations one parity signature holds: two bits each, in a uint64
 _GROUP = 32
 
-# blocks the frontier is cut into when it first outgrows _BLOCK_ENTRIES; the
-# unit of ``progress``
+# blocks the first frontier is cut into when it outgrows its size (see _grow);
+# the unit of ``progress``
 _TOP_BLOCKS = 16
 
 # patterns ``write_consistent`` formats per write
@@ -62,35 +65,37 @@ _SIGN_TABLE = _SIGN_BYTES[
 ]
 
 
-@lru_cache(maxsize=None)
-def _plan(n: int, masks: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple]:
-    """The frontier's extension steps and their merge keys, per chord d in
-    star order. A step is (bit of d, terms, groups), where ``terms[0, r]``
-    is the mask of the term of the r-th relation closing at d that holds d,
-    with d removed, and ``terms[1, r]`` is the mask of its other term;
-    ``groups`` are the parity tables of ``terms`` (see ``_parity_tables``).
-    A key is (r, ``_byte_tables`` of a basis) where the terms of the
-    relations open after the step, cut to the chords set, have GF(2) rank
-    r below the number of those chords, else None.
-    """
+def _closing(n: int, masks: tuple) -> tuple[list, list]:
+    """The n-gon's chords in star order and, per chord d in it, the relations
+    of ``masks`` whose last chord is d, as (held, other): the mask of the term
+    that holds d, with d removed, and the mask of the other term."""
     poly = Polygon(n)
     order = sorted(range(poly.chord_count), key=lambda k: (poly.chords[k][0], -poly.chords[k][1]))
     rank = {k: s for s, k in enumerate(order)}
     closing: list[list[tuple[int, int]]] = [[] for _ in order]
-    spans = []
     for m1, m2 in masks:
-        held = sorted(rank[k] for k in range(poly.chord_count) if (m1 | m2) >> k & 1)
-        spans.append((held[0], held[-1], m1, m2))
-        d = 1 << order[held[-1]]
-        closing[held[-1]].append((m1 ^ d, m2) if m1 & d else (m2 ^ d, m1))
+        last = max(rank[k] for k in range(poly.chord_count) if (m1 | m2) >> k & 1)
+        d = 1 << order[last]
+        closing[last].append((m1 ^ d, m2) if m1 & d else (m2 ^ d, m1))
+    return order, closing
+
+
+@lru_cache(maxsize=None)
+def _plan(n: int, masks: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple]:
+    """The frontier's extension steps and their merge keys, per chord d in
+    star order. A step is (bit of d, the ``_parity_tables`` of the relations
+    closing at d; see ``_closing``). A key is (r, ``_byte_tables`` of a
+    basis) where the terms of the relations open after the step, cut to the
+    chords set, have GF(2) rank r below the number of those chords, else None.
+    """
+    order, closing = _closing(n, masks)
     steps, keys, done = [], [], 0
     for s, (k, rows) in enumerate(zip(order, closing)):
-        terms = np.array(rows, dtype=np.uint64).reshape(-1, 2).T.copy()
-        terms.setflags(write=False)  # shared by every caller of the cache
-        steps.append((np.uint64(1 << k), terms, _parity_tables(rows)))
+        steps.append((np.uint64(1 << k), _parity_tables(rows)))
         done |= 1 << k
         basis: dict[int, int] = {}  # leading bit -> reduced term mask
-        for t in (t & done for first, last, *ts in spans if first <= s < last for t in ts):
+        # relations open after the step close at a later d, which done lacks
+        for t in (t & done for later in closing[s + 1 :] for pair in later for t in pair):
             while t and t.bit_length() in basis:
                 t ^= basis[t.bit_length()]
             if t:
@@ -201,13 +206,16 @@ def _merge(x: np.ndarray, w, key: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 def _grow(steps: tuple, keys, k: int, x: np.ndarray, w) -> tuple:
     """Extend frontier x, of weights w, from step k until the last step or
-    until it outgrows ``_BLOCK_ENTRIES``; (step reached, x, w). Within the
-    size, x is merged where it outgrows the 2^r coordinates of a step's key."""
-    while k < len(steps) and len(x) <= _BLOCK_ENTRIES:
-        d, _, groups = steps[k]
+    until it outgrows ``_BLOCK_ENTRIES``; (step reached, x, w). x is merged
+    wherever it outgrows the 2^r coordinates of a step's key. The first
+    frontier (k = 0) grows to twice the size where the keys merge before the
+    walk ends, so a merge reads at most 4 * ``_BLOCK_ENTRIES`` patterns."""
+    size = _BLOCK_ENTRIES << (k == 0 and keys is not None and any(keys[: len(steps)]))
+    while k < len(steps) and len(x) <= size:
+        d, groups = steps[k]
         x, w = _extend(x, w, d, groups)
         key = keys and keys[k]
-        if key and 1 << key[0] < len(x) <= _BLOCK_ENTRIES:
+        if key and 1 << key[0] < len(x):
             x, w = _merge(x, w, key)
         k += 1
     return k, x, w
@@ -218,12 +226,12 @@ def _blocks(steps: tuple, keys=None, progress=None) -> Iterator[tuple]:
     first, in uint64 blocks, in no set order, each with its weights: None
     without the plan's merge ``keys``, or before a block's first merge.
 
-    The frontier grows from one zero pattern until it outgrows ``_BLOCK_ENTRIES``,
-    then is cut into ``_TOP_BLOCKS`` top-level blocks. Each is finished
-    depth-first, a block that outgrows the size again being halved, so no
-    block yielded holds more than ``_BLOCK_ENTRIES`` patterns.
+    The frontier grows from one zero pattern until it outgrows its size (see
+    ``_grow``), then is cut into ``_TOP_BLOCKS`` top-level blocks. Each is
+    finished depth-first, a block that outgrows ``_BLOCK_ENTRIES`` again being
+    halved, so no block yielded holds more than ``_BLOCK_ENTRIES`` patterns.
     ``progress(done, total)`` is called after each top-level block; a
-    frontier that never outgrows the size is one top-level block.
+    frontier that never outgrows its size is one top-level block.
     """
     k, x, w = _grow(steps, keys, 0, np.zeros(1, dtype=np.uint64), None)
     tops = list(_split(x, w, _TOP_BLOCKS)) if k < len(steps) else [(x, w)]
@@ -251,7 +259,7 @@ def count(n: int, masks: tuple, progress=None) -> int:
     without gathering them.
     """
     steps, keys = _plan(n, masks)
-    _, _, groups = steps[-1]
+    _, groups = steps[-1]
     total = 0
     for block, w in _blocks(steps[:-1], keys, progress):
         keep_x, keep_xd = _survivors(block, groups)

@@ -140,8 +140,8 @@ def cmd_count(args) -> int:
     realizable = ordering_count(poly)
     mode = "primitive" if args.primitive_only else "extended"
     if args.primitive_only and args.n >= 11:
-        # n = 11 (415 703 183 patterns) took 180 s, at a 45 MB peak, on a 2-core host
-        cost = "about 3 minutes" if args.n == 11 else "far longer than n=11 (unmeasured)"
+        # n = 11 (415 703 183 patterns): 243 and 294 s cold, 46 MB peak, on a busy 2-core host
+        cost = "about 4 minutes" if args.n == 11 else "far longer than n=11 (unmeasured)"
         print(
             f"warning: --primitive-only at n={args.n} takes {cost} on a 2-core host",
             file=sys.stderr,

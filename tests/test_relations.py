@@ -22,7 +22,7 @@ from usigns import (
     sign_of_ordering,
 )
 from usigns import _enumeration
-from usigns._enumeration import _plan
+from usigns._enumeration import _closing, _plan
 from usigns.relations import _relation_masks
 
 from conftest import (
@@ -363,8 +363,9 @@ def test_count_from_last_survivors_matches_stream(n, primitive_only, block_entri
 def test_blocks_never_outgrow_the_block_size(monkeypatch):
     # a block that outgrows the size at the end of its steps is halved before
     # it is yielded, so count's survivor check never runs on more patterns;
-    # with merge keys no weight array outgrows the size either, and every
-    # merge table is smaller than the block it merges
+    # with merge keys no weight array outgrows the size either. Every merge
+    # table is smaller than the frontier it merges, and no merged frontier
+    # exceeds one extension of the first frontier's bound of twice the size
     monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", 32)
     merged = []
     merge = _enumeration._merge
@@ -386,7 +387,7 @@ def test_blocks_never_outgrow_the_block_size(monkeypatch):
                 if merge_keys is None:
                     assert all(w is None for _, w in blocks)
     assert any(weighted for _, _, weighted in merged)
-    assert all(table < block <= 32 for table, block, _ in merged)
+    assert all(table < block <= 4 * 32 for table, block, _ in merged)
 
 
 @pytest.mark.parametrize("n", range(5, 13))
@@ -423,6 +424,30 @@ def test_merged_count_of_relation_subsets(n, block_entries, monkeypatch):
             subset = tuple(rng.sample(masks, rng.randint(1, len(masks) - 1)))
             assert _enumeration.count(n, subset) == len(_enumeration._sorted_bits(n, subset))
     assert merges
+
+
+def test_merges_past_the_block_size(monkeypatch):
+    # a frontier merges wherever it outgrows a key's 2^r states, not only
+    # within the block size, and the first frontier of a merging count grows
+    # to twice the size before it is cut, so only it merges past 2 * 32
+    # patterns; full primitive masks and seeded sub-tuples of them
+    monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", 32)
+    merged = []
+    merge = _enumeration._merge
+
+    def recorded(x, w, key):
+        merged.append((n, len(x)))
+        return merge(x, w, key)
+
+    monkeypatch.setattr(_enumeration, "_merge", recorded)
+    for n in (7, 8):
+        rng = random.Random(2700 + n)
+        masks = _relation_masks(n, True)
+        subsets = [tuple(rng.sample(masks, rng.randint(1, len(masks) - 1))) for _ in range(6)]
+        for relations in [masks, *subsets]:
+            assert _enumeration.count(n, relations) == len(_enumeration._sorted_bits(n, relations))
+    assert {n for n, frontier in merged if frontier > 32} == {7, 8}
+    assert any(frontier > 2 * 32 for _, frontier in merged)
 
 
 @pytest.mark.parametrize(
@@ -570,12 +595,13 @@ def test_plan_checks_each_relation_once_at_its_last_chord(n):
     for primitive_only in (False, True):
         masks = _relation_masks(n, primitive_only)
         steps, _ = _plan(n, masks)
-        assert len(steps) == len(star)
+        _, closing = _closing(n, masks)
+        assert len(steps) == len(closing) == len(star)
         checked = Counter()
-        for k, (d, terms, _) in enumerate(steps):
+        for k, ((d, _), rows) in enumerate(zip(steps, closing)):
             assert int(d) == poly.mask([star[k]])
             set_by_now = poly.mask(star[: k + 1])
-            for held, other in zip(*terms.tolist()):
+            for held, other in rows:
                 assert held & int(d) == 0 and other & int(d) == 0
                 assert (held | other) & ~set_by_now == 0
                 checked[frozenset((held | int(d), other))] += 1
@@ -589,13 +615,14 @@ def test_lift_plan_reads_cut_at_n_rows(n):
     poly = Polygon(n)
     star = sorted(poly.chords, key=lambda c: (c[0], -c[1]))
     steps, _ = _plan(n, _relation_masks(n, False))
-    assert len(steps) == len(star)
+    _, closing = _closing(n, _relation_masks(n, False))
+    assert len(steps) == len(closing) == len(star)
     relations = _extended_by_cuts(poly)
     got, expected = [], []
-    for (i, j), (d, terms, _) in zip(star, steps):
+    for (i, j), (d, _), rows in zip(star, steps, closing):
         if j != n:
             continue
-        got += zip(*terms.tolist())
+        got += rows
         for cuts in itertools.combinations(range(1, i + 1), 2):
             r = relations[cuts + (i + 1, n)]
             m1, m2 = poly.mask(r.t1), poly.mask(r.t2)
@@ -621,8 +648,11 @@ def test_extend_matches_popcount_reference(n):
     rng = np.random.default_rng(n)
     groups_taken = {}  # relations closing at a step -> parity-table groups
     for primitive_only in (False, True):
-        steps, _ = _plan(n, _relation_masks(n, primitive_only))
-        for k, (d, terms, groups) in enumerate(steps):
+        masks = _relation_masks(n, primitive_only)
+        steps, _ = _plan(n, masks)
+        _, closing = _closing(n, masks)
+        for k, ((d, groups), rows) in enumerate(zip(steps, closing)):
+            terms = np.array(rows, dtype=np.uint64).reshape(-1, 2).T
             groups_taken[terms.shape[1]] = len(groups)
             assert sum(width for width, _, _ in groups) == terms.shape[1]
             before = np.uint64(poly.mask(star[:k]))
