@@ -124,8 +124,8 @@ MUTATIONS = (
     Mutation(
         "final-block-not-halved",
         "src/usigns/_enumeration.py",
-        "if j == len(steps) and len(y) <= _BLOCK_ENTRIES:",
-        "if j == len(steps):",
+        "if k < len(steps) or len(x) > _BLOCK_ENTRIES:",
+        "if k < len(steps):",
     ),
     Mutation(
         "merge-adds-one-per-pattern",
@@ -146,22 +146,40 @@ MUTATIONS = (
         "for later in closing[s + 2 :]",
     ),
     Mutation(
-        "first-frontier-cut-drops-weights",
+        "halves-drop-weights",
         "src/usigns/_enumeration.py",
-        "tops = list(_split(x, w, _TOP_BLOCKS))",
-        "tops = list(_split(x, None, _TOP_BLOCKS))",
+        "None if w is None else w[h].copy()))",
+        "None))",
     ),
     Mutation(
-        "first-frontier-keeps-one-block",
+        "halves-are-views",
         "src/usigns/_enumeration.py",
-        "_BLOCK_ENTRIES << (k == 0 and",
-        "_BLOCK_ENTRIES << (k == -1 and",
+        "x[h].copy(), None if w is None else w[h].copy()",
+        "x[h], None if w is None else w[h]",
     ),
     Mutation(
-        "first-frontier-grows-four-blocks",
+        "half-keeps-parent-share",
         "src/usigns/_enumeration.py",
-        "_BLOCK_ENTRIES << (k == 0 and",
-        "_BLOCK_ENTRIES << 2 * (k == 0 and",
+        "stack.append((share / 2, k,",
+        "stack.append((share, k,",
+    ),
+    Mutation(
+        "cut-ignores-merging-step",
+        "src/usigns/_enumeration.py",
+        "if len(x) > _BLOCK_ENTRIES and not (key and 1 << key[0] < len(x)):",
+        "if len(x) > _BLOCK_ENTRIES:",
+    ),
+    Mutation(
+        "cut-passes-any-key",
+        "src/usigns/_enumeration.py",
+        "not (key and 1 << key[0] < len(x))",
+        "not key",
+    ),
+    Mutation(
+        "cut-at-twice-the-size",
+        "src/usigns/_enumeration.py",
+        "if len(x) > _BLOCK_ENTRIES and not",
+        "if len(x) > 2 * _BLOCK_ENTRIES and not",
     ),
     Mutation(
         "merge-only-within-block-size",

@@ -18,24 +18,24 @@ every byte value against each term. A partial pattern's parities are the
 XOR of its bytes' table entries, a few gathers over the frontier per group
 however many relations close at the step.
 
-A frontier that outgrows ``_BLOCK_ENTRIES`` patterns is cut into blocks that
-are finished depth-first, so memory stays bounded at every n. A count runs
-every step but the last and counts that step's survivors without gathering
-them. It also merges: later checks read a partial pattern only through its
-parities against the open relations' terms, so where those span r < (chords
-set) dimensions over GF(2), a frontier of over 2^r patterns keeps one pattern
-per parity state, weighted (exact int64) by how many it stands for. If the
-walk merges, the first frontier, which every block shares, may grow to twice
-the block size before it is cut, so its states merge once and not per block;
-no merge reads over four block sizes. Primitive plans merge from n = 6;
-extended ones never before the last step, so their counts and every stream
-do no merge work and cut the first frontier at one block size.
+Frontiers are finished depth-first off one stack, and one that outgrows
+``_BLOCK_ENTRIES`` patterns is cut in halves, so memory stays bounded at every
+n. A count runs every step but the last and counts that step's survivors
+without gathering them. It also merges: later checks read a partial pattern
+only through its parities against the open relations' terms, so where those
+span r < (chords set) dimensions over GF(2), a frontier of over 2^r patterns
+keeps one pattern per parity state, weighted (exact int64) by how many it
+stands for. A frontier past the block size still takes a step that will merge
+it, so it merges whole, once, and not once per half. Primitive plans merge
+from n = 6; extended ones never before the last step, so their counts and
+every stream do no merge work.
 
 A written pattern is read a byte at a time: each of the bytes that hold chords
 picks the eight sign characters of its value from one 256-row table.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import BinaryIO, Iterator
 
@@ -48,10 +48,6 @@ _BLOCK_ENTRIES = 1 << 16
 
 # most relations one parity signature holds: two bits each, in a uint64
 _GROUP = 32
-
-# blocks the first frontier is cut into when it outgrows its size (see _grow);
-# the unit of ``progress``
-_TOP_BLOCKS = 16
 
 # patterns ``write_consistent`` formats per write
 _WRITE_ROWS = 1 << 12
@@ -179,11 +175,13 @@ def _extend(x: np.ndarray, w, d: np.uint64, groups: tuple) -> tuple:
     if not groups:
         return np.concatenate((x, x | d)), None if w is None else np.concatenate((w, w))
     keep_x, keep_xd = _survivors(x, groups)
+    split = np.count_nonzero(keep_x)
     # gathered by index: a boolean index, x[keep_x], took several times as
     # long on the mixed masks of a full block
     index = np.concatenate((keep_x.nonzero()[0], keep_xd.nonzero()[0]))
+    del keep_x, keep_xd  # not held through the gather
     y = x.take(index)
-    y[np.count_nonzero(keep_x) :] |= d
+    y[split:] |= d
     return y, None if w is None else w.take(index)
 
 
@@ -204,21 +202,25 @@ def _merge(x: np.ndarray, w, key: tuple) -> tuple[np.ndarray, np.ndarray]:
     return held.take(occupied), total.take(occupied)
 
 
-def _grow(steps: tuple, keys, k: int, x: np.ndarray, w) -> tuple:
-    """Extend frontier x, of weights w, from step k until the last step or
-    until it outgrows ``_BLOCK_ENTRIES``; (step reached, x, w). x is merged
-    wherever it outgrows the 2^r coordinates of a step's key. The first
-    frontier (k = 0) grows to twice the size where the keys merge before the
-    walk ends, so a merge reads at most 4 * ``_BLOCK_ENTRIES`` patterns."""
-    size = _BLOCK_ENTRIES << (k == 0 and keys is not None and any(keys[: len(steps)]))
-    while k < len(steps) and len(x) <= size:
+def _grow(steps: tuple, keys, stack: list) -> tuple:
+    """Pop frontier x, of weights w, at step k and of walk share s, off
+    ``stack`` (here, so that no caller holds it while it is replaced) and
+    extend it; (s, step reached, x, w). x is merged wherever it outgrows the
+    2^r coordinates of a step's key. It stops at the last step, or past
+    ``_BLOCK_ENTRIES`` patterns unless the step it is about to take has a key
+    that will merge it, leaving it smaller than it was; so no extension
+    starts from over twice the size and no merge reads over four times it."""
+    share, k, x, w = stack.pop()
+    while k < len(steps):
         d, groups = steps[k]
-        x, w = _extend(x, w, d, groups)
         key = keys and keys[k]
+        if len(x) > _BLOCK_ENTRIES and not (key and 1 << key[0] < len(x)):
+            break
+        x, w = _extend(x, w, d, groups)
         if key and 1 << key[0] < len(x):
             x, w = _merge(x, w, key)
         k += 1
-    return k, x, w
+    return share, k, x, w
 
 
 def _blocks(steps: tuple, keys=None, progress=None) -> Iterator[tuple]:
@@ -226,30 +228,27 @@ def _blocks(steps: tuple, keys=None, progress=None) -> Iterator[tuple]:
     first, in uint64 blocks, in no set order, each with its weights: None
     without the plan's merge ``keys``, or before a block's first merge.
 
-    The frontier grows from one zero pattern until it outgrows its size (see
-    ``_grow``), then is cut into ``_TOP_BLOCKS`` top-level blocks. Each is
-    finished depth-first, a block that outgrows ``_BLOCK_ENTRIES`` again being
-    halved, so no block yielded holds more than ``_BLOCK_ENTRIES`` patterns.
-    ``progress(done, total)`` is called after each top-level block; a
-    frontier that never outgrows its size is one top-level block.
+    One depth-first stack of frontiers starts from the zero pattern, which
+    carries the whole walk, share 1. A frontier that ``_grow`` stops short of
+    the last step, or that ends with over ``_BLOCK_ENTRIES`` patterns, is cut
+    in halves of half its share each, so no block yielded holds more.
+    ``progress(done)`` is called after each block with the ``Fraction`` of
+    the walk finished: it strictly increases and is 1 at the last block.
     """
-    k, x, w = _grow(steps, keys, 0, np.zeros(1, dtype=np.uint64), None)
-    tops = list(_split(x, w, _TOP_BLOCKS)) if k < len(steps) else [(x, w)]
-    for done, top in enumerate(tops, 1):
-        stack = [(k, *top)]
-        while stack:
-            j, y, v = _grow(steps, keys, *stack.pop())
-            if j == len(steps) and len(y) <= _BLOCK_ENTRIES:
-                yield y, v
-            else:
-                stack += [(j, *half) for half in _split(y, v, 2)]
-        if progress is not None:
-            progress(done, len(tops))
-
-
-def _split(x: np.ndarray, w, parts: int) -> Iterator[tuple]:
-    """(x, w) cut into ``parts`` runs of views."""
-    return zip(np.array_split(x, parts), [None] * parts if w is None else np.array_split(w, parts))
+    stack = [(Fraction(1), 0, np.zeros(1, dtype=np.uint64), None)]
+    done = 0
+    while stack:
+        share, k, x, w = _grow(steps, keys, stack)
+        if k < len(steps) or len(x) > _BLOCK_ENTRIES:
+            # halves copied, so that one waiting on the stack does not keep x alive
+            for h in slice(len(x) // 2), slice(len(x) // 2, None):
+                stack.append((share / 2, k, x[h].copy(), None if w is None else w[h].copy()))
+        else:
+            yield x, w
+            done += share
+            if progress is not None:
+                progress(done)
+        del x, w  # not held while the next frontier grows
 
 
 def count(n: int, masks: tuple, progress=None) -> int:

@@ -140,7 +140,7 @@ def cmd_count(args) -> int:
     realizable = ordering_count(poly)
     mode = "primitive" if args.primitive_only else "extended"
     if args.primitive_only and args.n >= 11:
-        # n = 11 (415 703 183 patterns): 243 and 294 s cold, 46 MB peak, on a busy 2-core host
+        # n = 11 (415 703 183 patterns): 238 to 294 s cold, 38 to 46 MB peak, on a busy 2-core host
         cost = "about 4 minutes" if args.n == 11 else "far longer than n=11 (unmeasured)"
         print(
             f"warning: --primitive-only at n={args.n} takes {cost} on a 2-core host",
@@ -158,8 +158,9 @@ def cmd_count(args) -> int:
     else:
         progress = None
         if args.n >= 9:
-            def progress(done: int, total: int) -> None:
-                print(f"\rblocks {done}/{total}", end="", file=sys.stderr, flush=True)
+            def progress(share) -> None:  # a Fraction takes % formats from Python 3.12 only
+                percent = 100 * share.numerator // share.denominator
+                print(f"\rdone {percent}%", end="", file=sys.stderr, flush=True)
 
         count = count_consistent(
             poly, primitive_only=args.primitive_only, progress=progress

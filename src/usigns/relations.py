@@ -127,10 +127,10 @@ def count_consistent(
 ) -> int:
     """Count sign patterns consistent with the chosen relation set.
 
-    ``progress(blocks_done, blocks_total)`` is called after each top-level
-    block of the enumeration, the same way in both modes: the calls are
-    monotone and the last is (blocks_total, blocks_total). A small n is one
-    block; a frontier that outgrows the block size is cut into 16.
+    ``progress(share)`` is called after each block of the enumeration, the
+    same way in both modes, with the ``Fraction`` of the walk finished: the
+    shares strictly increase and the last is exactly 1. A walk that never
+    outgrows one block makes one call.
     """
     _check_enumerable(poly.n)
     from . import _enumeration

@@ -132,13 +132,14 @@ def test_count_primitive_stream_beyond_memory_exit_3(tmp_path, capsys):
 
 
 def test_count_progress_has_one_label(capsys):
-    # both modes count top-level blocks; n = 9 extended fits one block, and
-    # n = 9 primitive-only merges its shared first frontier before it is cut;
-    # the 16-block case is test_relations.py::test_count_progress_counts_blocks
+    # both modes report the share of the walk done; n = 9 extended fits one
+    # block, and n = 9 primitive-only passes the block size only into steps
+    # that merge it, so it too is one block; the many-block case is
+    # test_relations.py::test_count_progress_counts_blocks
     code, _, err = run(capsys, "count", "9")
-    assert code == 0 and err == "\rblocks 1/1\n"
+    assert code == 0 and err == "\rdone 100%\n"
     code, _, err = run(capsys, "count", "9", "--primitive-only")
-    assert code == 0 and err == "\rblocks 1/1\n"
+    assert code == 0 and err == "\rdone 100%\n"
 
 
 def test_count_has_no_threads_flag(capsys):

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -323,16 +324,45 @@ def test_lift_rejects_n_beyond_uint64():
 
 
 def test_count_progress_counts_blocks(monkeypatch):
-    # one convention in both modes: monotone calls over the top-level blocks,
-    # the last one (total, total); a frontier that fits one block is one block
+    # one convention in both modes: one call per block with the Fraction of
+    # the walk done, strictly increasing to exactly 1; a walk that fits one
+    # block makes one call, and blocks of 32 at n = 7 make many
     poly = Polygon(7)
     for primitive_only, expected in ((False, 360), (True, 697)):
-        for block_entries, blocks in ((1 << 16, 1), (32, 16)):
-            monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", block_entries)
-            calls = []
-            got = count_consistent(poly, primitive_only, progress=lambda *a: calls.append(a))
-            assert got == expected
-            assert calls == [(k, blocks) for k in range(1, blocks + 1)]
+        monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", 1 << 16)
+        calls = []
+        assert count_consistent(poly, primitive_only, progress=calls.append) == expected
+        assert calls == [Fraction(1)] and type(calls[0]) is Fraction
+        monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", 32)
+        calls = []
+        assert count_consistent(poly, primitive_only, progress=calls.append) == expected
+        assert len(calls) > 1 and all(type(share) is Fraction for share in calls)
+        assert all(a < b for a, b in zip(calls, calls[1:])) and calls[-1] == 1
+
+
+def test_waiting_frontiers_share_no_memory(monkeypatch):
+    # a frontier is cut into copied halves, so no half waiting on the stack
+    # is a view that keeps its grown parent alive; counts and streams at n = 8
+    # in blocks of 32, where the second half of the relations merges and cuts
+    # weighted frontiers
+    monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", 32)
+    waiting = []
+    grow = _enumeration._grow
+
+    def checked(steps, keys, stack):
+        waiting.extend(stack)
+        return grow(steps, keys, stack)
+
+    monkeypatch.setattr(_enumeration, "_grow", checked)
+    for primitive_only in (False, True):
+        masks = _relation_masks(8, primitive_only)
+        for relations in (masks, masks[len(masks) // 2 :]):
+            got = _enumeration.count(8, relations)
+            assert got == len(_enumeration._sorted_bits(8, relations))
+    assert len(waiting) > 100
+    assert any(w is not None for *_, w in waiting)
+    for _, _, x, w in waiting:
+        assert x.base is None and (w is None or w.base is None)
 
 
 def _survivor_count_cases():
@@ -364,8 +394,9 @@ def test_blocks_never_outgrow_the_block_size(monkeypatch):
     # a block that outgrows the size at the end of its steps is halved before
     # it is yielded, so count's survivor check never runs on more patterns;
     # with merge keys no weight array outgrows the size either. Every merge
-    # table is smaller than the frontier it merges, and no merged frontier
-    # exceeds one extension of the first frontier's bound of twice the size
+    # table is smaller than the frontier it merges; a frontier passes the
+    # size only into a step that merges it, so none enters an extension with
+    # over twice the size and no merge reads over four times it
     monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", 32)
     merged = []
     merge = _enumeration._merge
@@ -428,9 +459,9 @@ def test_merged_count_of_relation_subsets(n, block_entries, monkeypatch):
 
 def test_merges_past_the_block_size(monkeypatch):
     # a frontier merges wherever it outgrows a key's 2^r states, not only
-    # within the block size, and the first frontier of a merging count grows
-    # to twice the size before it is cut, so only it merges past 2 * 32
-    # patterns; full primitive masks and seeded sub-tuples of them
+    # within the block size: one past the size still takes a step whose key
+    # will merge it, so merges read past 2 * 32 patterns; full primitive
+    # masks and seeded sub-tuples of them
     monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", 32)
     merged = []
     merge = _enumeration._merge
