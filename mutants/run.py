@@ -46,8 +46,8 @@ MUTATIONS = (
     Mutation(
         "odd-first-corner-flipped",
         "src/usigns/monomial.py",
-        "return ((a > e) + (b > c) + (a > c) + (b > e)) & 1",
-        "return ((a < e) + (b > c) + (a > c) + (b > e)) & 1",
+        "return (a > e) ^ (b > c) ^ (a > c) ^ (b > e)",
+        "return (a < e) ^ (b > c) ^ (a > c) ^ (b > e)",
     ),
     Mutation(
         "solve-certificate-dropped",
@@ -122,6 +122,12 @@ MUTATIONS = (
         "total += np.count_nonzero(keep_x)",
     ),
     Mutation(
+        "count-holds-block-while-next-grows",
+        "src/usigns/_enumeration.py",
+        "\n        del block, w, keep_x, keep_xd  # not held while the next frontier grows",
+        "",
+    ),
+    Mutation(
         "final-block-not-halved",
         "src/usigns/_enumeration.py",
         "if k < len(steps) or len(x) > _BLOCK_ENTRIES:",
@@ -192,6 +198,24 @@ MUTATIONS = (
         "src/usigns/_enumeration.py",
         "key = keys and keys[k]",
         "key = keys and keys[min(k + 1, len(keys) - 1)]",
+    ),
+    Mutation(
+        "verify-bijection-always-passes",
+        "src/usigns/cli.py",
+        'yield "bijection", seen == consistent',
+        'yield "bijection", True',
+    ),
+    Mutation(
+        "verify-oracle-reads-the-pattern-itself",
+        "src/usigns/cli.py",
+        "oracle_ok &= signs_from_points(realize(poly, w)) == pattern",
+        "oracle_ok &= sign_of_ordering(poly, w) == pattern",
+    ),
+    Mutation(
+        "verify-oracle-skipped",
+        "src/usigns/cli.py",
+        'yield "oracle", oracle_ok',
+        'yield "oracle", True',
     ),
     Mutation(
         "replay-swaps-wrong-place",

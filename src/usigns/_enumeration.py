@@ -266,6 +266,7 @@ def count(n: int, masks: tuple, progress=None) -> int:
             total += np.count_nonzero(keep_x) + np.count_nonzero(keep_xd)
         else:
             total += w.sum(where=keep_x) + w.sum(where=keep_xd)
+        del block, w, keep_x, keep_xd  # not held while the next frontier grows
     return int(total)
 
 

@@ -158,13 +158,16 @@ def cmd_count(args) -> int:
     else:
         progress = None
         if args.n >= 9:
-            def progress(share) -> None:  # a Fraction takes % formats from Python 3.12 only
-                percent = 100 * share.numerator // share.denominator
-                print(f"\rdone {percent}%", end="", file=sys.stderr, flush=True)
+            shown = None
 
-        count = count_consistent(
-            poly, primitive_only=args.primitive_only, progress=progress
-        )
+            def progress(share) -> None:  # a Fraction takes % formats from Python 3.12 only
+                nonlocal shown
+                percent = 100 * share.numerator // share.denominator
+                if percent != shown:  # one write per percent, not per block
+                    shown = percent
+                    print(f"\rdone {percent}%", end="", file=sys.stderr, flush=True)
+
+        count = count_consistent(poly, primitive_only=args.primitive_only, progress=progress)
         if progress is not None:
             print(file=sys.stderr)
     match = count == realizable
@@ -242,34 +245,28 @@ def _verify_suites(n: int):
     """Yield (suite name, passed) pairs for cmd_verify."""
     poly = Polygon(n)
 
-    consistent_bits = {p.bits for p in consistent_patterns(poly)}
-    yield "count", len(consistent_bits) == ordering_count(poly)
+    consistent = {p.bits for p in consistent_patterns(poly)}
+    yield "count", len(consistent) == ordering_count(poly)
 
-    patterns = {word: sign_of_ordering(poly, word) for word in all_orderings(poly)}
-    by_ordering = {pattern.bits: word for word, pattern in patterns.items()}
-    yield "bijection", set(by_ordering) == consistent_bits
-
-    # each route is checked on every pattern against the bijection's ordering
-    solver_ok = matrix_ok = True
-    for bits in sorted(consistent_bits):
-        pattern = SignPattern(n, bits)
-        want = by_ordering.get(bits)
+    # when the bijection holds, the orderings' patterns are the consistent set
+    seen = set()
+    solver_ok = matrix_ok = oracle_ok = True
+    for w in all_orderings(poly):
+        pattern = sign_of_ordering(poly, w)
+        seen.add(pattern.bits)
         try:
-            word, _ = solve(poly, pattern)
+            solver_ok &= solve(poly, pattern)[0] == w
         except (InconsistentPatternError, IterationLimitError):
-            word = None
-        solver_ok &= word is not None and word == want
+            solver_ok = False
         try:
-            other = ordering_from_sign_matrix(poly, reconstruct_sign_matrix(poly, pattern))
+            matrix_ok &= ordering_from_sign_matrix(poly, reconstruct_sign_matrix(poly, pattern)) == w
         except IntransitiveOrderError:
-            other = None
-        matrix_ok &= other is not None and other == want
+            matrix_ok = False
+        oracle_ok &= signs_from_points(realize(poly, w)) == pattern
+    yield "bijection", seen == consistent
     yield "solver", solver_ok
     yield "reconstruction", matrix_ok
-
-    yield "oracle", all(
-        signs_from_points(realize(poly, w)) == pattern for w, pattern in patterns.items()
-    )
+    yield "oracle", oracle_ok
 
 
 def cmd_verify(args) -> int:

@@ -143,10 +143,10 @@ def _places(source: Sequence[int], target: Sequence[int]) -> list[int]:
     return [position[label] for label in source]
 
 
-def _odd(a: int, b: int, c: int, e: int) -> int:
-    """1 if the image of the chord with corners A, B, C, E is negative (see
-    ``_rows``), else 0."""
-    return ((a > e) + (b > c) + (a > c) + (b > e)) & 1
+def _odd(a: int, b: int, c: int, e: int) -> bool:
+    """True if the image of the chord with corners A, B, C, E is negative (see
+    ``_rows``); XOR, not a sum, since numpy adds bools as logical OR."""
+    return (a > e) ^ (b > c) ^ (a > c) ^ (b > e)
 
 
 def _rows(

@@ -14,6 +14,7 @@ import usigns
 from usigns import _enumeration
 from usigns.cli import main
 from usigns.ngon import Polygon
+from usigns.patterns import SignPattern
 from usigns.points import realize, signs_from_points
 from usigns.relations import consistent_patterns
 from usigns.solver import (
@@ -140,6 +141,29 @@ def test_count_progress_has_one_label(capsys):
     assert code == 0 and err == "\rdone 100%\n"
     code, _, err = run(capsys, "count", "9", "--primitive-only")
     assert code == 0 and err == "\rdone 100%\n"
+
+
+def test_count_progress_prints_each_percent_once(capsys, monkeypatch):
+    # blocks of 32 cut count 9 into far more than 101 blocks, yet each
+    # percent is written once: the shown values strictly increase to 100
+    monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", 32)
+    calls = []
+    original = usigns.cli.count_consistent
+
+    def counted(poly, primitive_only=False, progress=None):
+        def tally(share):
+            calls.append(share)
+            progress(share)
+
+        return original(poly, primitive_only, progress=tally)
+
+    monkeypatch.setattr("usigns.cli.count_consistent", counted)
+    code, out, err = run(capsys, "count", "9")
+    assert code == 0 and "agreement: yes" in out and len(calls) > 101
+    lines = err.rstrip("\n").split("\r")
+    assert lines[0] == "" and all(line.startswith("done ") for line in lines[1:])
+    shown = [int(line[len("done ") : -1]) for line in lines[1:]]
+    assert all(a < b for a, b in zip(shown, shown[1:])) and lines[-1] == "done 100%"
 
 
 def test_count_has_no_threads_flag(capsys):
@@ -452,6 +476,34 @@ def test_verify_matrix_route_raising_fails_its_suite(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "5")
     assert code == 1 and err == ""
     assert "reconstruction: FAIL" in out and "solver: pass" in out
+
+
+def test_verify_misread_ordering_fails_bijection(capsys, monkeypatch):
+    # one chord bit flipped for one ordering: the orderings' patterns are no
+    # longer the enumerated consistent set
+    original = usigns.cli.sign_of_ordering
+
+    def misread(poly, word):
+        pattern = original(poly, word)
+        if word == (1, 3, 5, 2, 4):
+            return SignPattern(poly.n, pattern.bits ^ 1 << 2)
+        return pattern
+
+    monkeypatch.setattr("usigns.cli.sign_of_ordering", misread)
+    code, out, err = run(capsys, "verify", "5")
+    assert code == 1 and err == ""
+    assert "count: pass" in out and "bijection: FAIL" in out
+
+
+def test_verify_wrong_oracle_fails_its_suite(capsys, monkeypatch):
+    # an oracle that reads every configuration as all-plus is right only on
+    # the identity ordering; the other suites do not read it
+    monkeypatch.setattr("usigns.cli.signs_from_points", lambda config: SignPattern(5, 0))
+    code, out, err = run(capsys, "verify", "5")
+    assert code == 1 and err == ""
+    assert out == (
+        "count: pass\nbijection: pass\nsolver: pass\nreconstruction: pass\noracle: FAIL\n"
+    )
 
 
 def test_verify_range(capsys):

@@ -45,6 +45,20 @@ def test_signed_monomial_basics():
         SignedMonomial(2, ())
 
 
+def test_odd_is_the_parity_of_four_corner_compares():
+    # the sign bit of a chord image is the parity of four compares; it is
+    # written with XOR, and agrees with the sum form on all 24 orders of four
+    # values, as ints and as numpy int8 columns, where adding bools is a
+    # logical OR and the sum form breaks
+    import numpy as np
+
+    orders = list(itertools.permutations(range(4)))
+    want = [((a > e) + (b > c) + (a > c) + (b > e)) & 1 for a, b, c, e in orders]
+    assert [monomial._odd(*order) for order in orders] == want
+    columns = np.array(orders, dtype=np.int8).T
+    assert monomial._odd(*columns).tolist() == want
+
+
 def test_identity_map():
     poly = Polygon(5)
     ident = MonomialMap(5, poly.identity_word, poly.identity_word)

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -363,6 +364,31 @@ def test_waiting_frontiers_share_no_memory(monkeypatch):
     assert any(w is not None for *_, w in waiting)
     for _, _, x, w in waiting:
         assert x.base is None and (w is None or w.base is None)
+
+
+def test_count_drops_each_block_before_the_next_grows(monkeypatch):
+    # count lets go of a block and its weights before the walk grows the
+    # next frontier, so they never sit beside it; n = 8 in blocks of 32,
+    # extended and primitive-only (weighted blocks)
+    monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", 32)
+    yielded = []
+    blocks, grow = _enumeration._blocks, _enumeration._grow
+
+    def recorded(*args):
+        for block, w in blocks(*args):
+            yielded.extend(weakref.ref(a) for a in (block, w) if a is not None)
+            yield block, w
+            del block, w  # the wrapper holds nothing either
+
+    def checked(steps, keys, stack):
+        assert all(ref() is None for ref in yielded)
+        return grow(steps, keys, stack)
+
+    monkeypatch.setattr(_enumeration, "_blocks", recorded)
+    monkeypatch.setattr(_enumeration, "_grow", checked)
+    for primitive_only, expected in ((False, 2520), (True, 10180)):
+        assert _enumeration.count(8, _relation_masks(8, primitive_only)) == expected
+    assert len(yielded) > 100
 
 
 def _survivor_count_cases():
