@@ -194,10 +194,28 @@ MUTATIONS = (
         "if key and 1 << key[0] < len(x) <= _BLOCK_ENTRIES:",
     ),
     Mutation(
-        "grow-merges-with-next-key",
+        "walk-merges-with-next-key",
         "src/usigns/_enumeration.py",
         "key = keys and keys[k]",
         "key = keys and keys[min(k + 1, len(keys) - 1)]",
+    ),
+    Mutation(
+        "count-out-empty-path-ignored",
+        "src/usigns/cli.py",
+        "if args.out is not None:",
+        "if args.out:",
+    ),
+    Mutation(
+        "is-consistent-size-guard-dropped",
+        "src/usigns/relations.py",
+        'raise ValueError(f"pattern is for n={pattern.n}, polygon has n={poly.n}")',
+        "pass",
+    ),
+    Mutation(
+        "matrix-size-guard-dropped",
+        "src/usigns/solver.py",
+        'raise ValueError(f"matrix is for n={matrix.n}, polygon has n={poly.n}")',
+        "pass",
     ),
     Mutation(
         "verify-bijection-always-passes",

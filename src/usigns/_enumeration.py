@@ -202,52 +202,41 @@ def _merge(x: np.ndarray, w, key: tuple) -> tuple[np.ndarray, np.ndarray]:
     return held.take(occupied), total.take(occupied)
 
 
-def _grow(steps: tuple, keys, stack: list) -> tuple:
-    """Pop frontier x, of weights w, at step k and of walk share s, off
-    ``stack`` (here, so that no caller holds it while it is replaced) and
-    extend it; (s, step reached, x, w). x is merged wherever it outgrows the
-    2^r coordinates of a step's key. It stops at the last step, or past
-    ``_BLOCK_ENTRIES`` patterns unless the step it is about to take has a key
-    that will merge it, leaving it smaller than it was; so no extension
-    starts from over twice the size and no merge reads over four times it."""
-    share, k, x, w = stack.pop()
-    while k < len(steps):
-        d, groups = steps[k]
-        key = keys and keys[k]
-        if len(x) > _BLOCK_ENTRIES and not (key and 1 << key[0] < len(x)):
-            break
-        x, w = _extend(x, w, d, groups)
-        if key and 1 << key[0] < len(x):
-            x, w = _merge(x, w, key)
-        k += 1
-    return share, k, x, w
-
-
-def _blocks(steps: tuple, keys=None, progress=None) -> Iterator[tuple]:
+def _blocks(steps: tuple, keys=None) -> Iterator[tuple]:
     """The patterns that survive ``steps``, a run of ``_plan`` steps from the
-    first, in uint64 blocks, in no set order, each with its weights: None
-    without the plan's merge ``keys``, or before a block's first merge.
+    first, as (share, block, weights): uint64 blocks in no set order, each
+    with the ``Fraction`` of the walk it finishes and its weights, None
+    without the plan's merge ``keys`` or before a block's first merge. The
+    shares of all blocks sum to 1.
 
     One depth-first stack of frontiers starts from the zero pattern, which
-    carries the whole walk, share 1. A frontier that ``_grow`` stops short of
-    the last step, or that ends with over ``_BLOCK_ENTRIES`` patterns, is cut
-    in halves of half its share each, so no block yielded holds more.
-    ``progress(done)`` is called after each block with the ``Fraction`` of
-    the walk finished: it strictly increases and is 1 at the last block.
+    carries the whole walk, share 1. A frontier popped off it is extended
+    and merged wherever it outgrows the 2^r coordinates of a step's key. It
+    stops at the last step, or past ``_BLOCK_ENTRIES`` patterns unless the
+    step it is about to take has a key that will merge it, leaving it
+    smaller than it was; so no extension starts from over twice the size and
+    no merge reads over four times it. One that stops short of the last
+    step, or ends with over ``_BLOCK_ENTRIES`` patterns, is cut in halves of
+    half its share each, so no block yielded holds more.
     """
     stack = [(Fraction(1), 0, np.zeros(1, dtype=np.uint64), None)]
-    done = 0
     while stack:
-        share, k, x, w = _grow(steps, keys, stack)
+        share, k, x, w = stack.pop()
+        while k < len(steps):
+            d, groups = steps[k]
+            key = keys and keys[k]
+            if len(x) > _BLOCK_ENTRIES and not (key and 1 << key[0] < len(x)):
+                break
+            x, w = _extend(x, w, d, groups)
+            if key and 1 << key[0] < len(x):
+                x, w = _merge(x, w, key)
+            k += 1
         if k < len(steps) or len(x) > _BLOCK_ENTRIES:
             # halves copied, so that one waiting on the stack does not keep x alive
             for h in slice(len(x) // 2), slice(len(x) // 2, None):
                 stack.append((share / 2, k, x[h].copy(), None if w is None else w[h].copy()))
         else:
-            yield x, w
-            done += share
-            if progress is not None:
-                progress(done)
+            yield share, x, w
         del x, w  # not held while the next frontier grows
 
 
@@ -255,18 +244,22 @@ def count(n: int, masks: tuple, progress=None) -> int:
     """The number of n-gon patterns that contradict none of ``masks``; see
     ``count_consistent``. The walk merges patterns where the plan's keys
     allow (see ``_merge``); the last step adds its survivors' weights
-    without gathering them.
+    without gathering them. ``progress(done)`` is called after each block,
+    with the sum of the shares of the blocks counted so far.
     """
     steps, keys = _plan(n, masks)
     _, groups = steps[-1]
-    total = 0
-    for block, w in _blocks(steps[:-1], keys, progress):
+    total = done = 0
+    for share, block, w in _blocks(steps[:-1], keys):
         keep_x, keep_xd = _survivors(block, groups)
         if w is None:
             total += np.count_nonzero(keep_x) + np.count_nonzero(keep_xd)
         else:
             total += w.sum(where=keep_x) + w.sum(where=keep_xd)
         del block, w, keep_x, keep_xd  # not held while the next frontier grows
+        done += share
+        if progress is not None:
+            progress(done)
     return int(total)
 
 
@@ -281,7 +274,7 @@ def _sorted_bits(n: int, masks: tuple) -> np.ndarray:
     bits = np.empty(0, dtype=np.uint64)
     size = 0
     steps, _ = _plan(n, masks)
-    for block, _ in _blocks(steps):
+    for _, block, _ in _blocks(steps):
         end = size + len(block)
         if end > len(bits):
             bits.resize(max(end, len(bits) * 5 // 4), refcheck=False)

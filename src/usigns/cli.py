@@ -136,7 +136,7 @@ def cmd_relations(args) -> int:
 def cmd_count(args) -> int:
     poly = Polygon(args.n)
     # before the warning and the --out file
-    _check_enumerable(args.n, bool(args.primitive_only and args.out))
+    _check_enumerable(args.n, args.primitive_only and args.out is not None)
     realizable = ordering_count(poly)
     mode = "primitive" if args.primitive_only else "extended"
     if args.primitive_only and args.n >= 11:
@@ -147,7 +147,7 @@ def cmd_count(args) -> int:
             file=sys.stderr,
         )
 
-    if args.out:
+    if args.out is not None:
         from . import _enumeration
         masks = _relation_masks(args.n, args.primitive_only)
         try:

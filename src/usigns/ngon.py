@@ -12,6 +12,7 @@ its second entry smaller than its last.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -183,10 +184,7 @@ def all_orderings(poly: Polygon) -> Iterator[tuple[int, ...]]:
 
 def ordering_count(poly: Polygon) -> int:
     """(n-1)!/2, the number of dihedral orderings."""
-    count = 1
-    for k in range(2, poly.n):
-        count *= k
-    return count // 2
+    return math.factorial(poly.n - 1) // 2
 
 
 def _cut_runs(

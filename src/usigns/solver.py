@@ -90,8 +90,6 @@ def solve(poly: Polygon, pattern: SignPattern) -> tuple[tuple[int, ...], SolverT
     inside the shortest negative chord, and its pattern is read off the
     places of the chart's labels in the ordering, with no transport table.
     """
-    if pattern.n != poly.n:
-        raise ValueError(f"pattern is for n={pattern.n}, polygon has n={poly.n}")
     try:
         found = ordering_from_sign_matrix(poly, reconstruct_sign_matrix(poly, pattern))
     except IntransitiveOrderError:

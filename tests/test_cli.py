@@ -200,6 +200,19 @@ def test_count_out_unwritable_exit_3(target, tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("usigns: error:")
 
 
+def test_count_out_empty_path_exit_3(tmp_path, capsys, monkeypatch):
+    # an empty --out names no file: it is refused, as diagram refuses it,
+    # and not read as "no --out"; a primitive stream past the limit is
+    # refused for that first
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "count", "5", "--out", "")
+    assert code == 3 and out == ""
+    assert err == "usigns: error: [Errno 2] No such file or directory: ''\n"
+    assert list(tmp_path.iterdir()) == []
+    code, out, err = run(capsys, "count", "11", "--primitive-only", "--out", "")
+    assert code == 3 and out == "" and "do not fit in memory" in err
+
+
 def test_count_out_unwritable_process_exit_3(tmp_path):
     # the exit status and stderr of a real process, not main()'s return value
     out = str(tmp_path / "missing" / "f.txt")
@@ -269,6 +282,26 @@ def test_closed_stdout_exits_141_quietly():
     finally:
         os.close(write_end)
     assert proc.returncode == 141 and proc.stderr == ""
+
+
+def test_reader_closing_mid_line_exits_141_quietly(tmp_path):
+    # the reader takes one byte of a 0.5 MB line and closes the pipe while
+    # the write is still blocked on it; a child process, since the handler
+    # replaces the fd 1 of the process it runs in
+    ordering = ",".join(map(str, range(1, 1001)))
+    with open(tmp_path / "err.txt", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "usigns.cli", "sign-of", "1000", "--ordering", ordering],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env=_package_env(),
+        )
+        try:
+            assert len(proc.stdout.read(1)) == 1
+        finally:
+            proc.stdout.close()
+        code = proc.wait(timeout=60)
+    assert code == 141 and (tmp_path / "err.txt").read_bytes() == b""
 
 
 @pytest.mark.parametrize(

@@ -343,49 +343,49 @@ def test_count_progress_counts_blocks(monkeypatch):
 
 def test_waiting_frontiers_share_no_memory(monkeypatch):
     # a frontier is cut into copied halves, so no half waiting on the stack
-    # is a view that keeps its grown parent alive; counts and streams at n = 8
-    # in blocks of 32, where the second half of the relations merges and cuts
-    # weighted frontiers
+    # is a view that keeps its grown parent alive: every frontier and weight
+    # array that enters an extension owns its memory. Counts and streams at
+    # n = 8 in blocks of 32, where the second half of the relations merges
+    # and cuts weighted frontiers
     monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", 32)
-    waiting = []
-    grow = _enumeration._grow
+    entered = []
+    extend = _enumeration._extend
 
-    def checked(steps, keys, stack):
-        waiting.extend(stack)
-        return grow(steps, keys, stack)
+    def checked(x, w, d, groups):
+        entered.append((x.base is None and (w is None or w.base is None), w is not None))
+        return extend(x, w, d, groups)
 
-    monkeypatch.setattr(_enumeration, "_grow", checked)
+    monkeypatch.setattr(_enumeration, "_extend", checked)
     for primitive_only in (False, True):
         masks = _relation_masks(8, primitive_only)
         for relations in (masks, masks[len(masks) // 2 :]):
             got = _enumeration.count(8, relations)
             assert got == len(_enumeration._sorted_bits(8, relations))
-    assert len(waiting) > 100
-    assert any(w is not None for *_, w in waiting)
-    for _, _, x, w in waiting:
-        assert x.base is None and (w is None or w.base is None)
+    assert len(entered) > 100
+    assert any(weighted for _, weighted in entered)
+    assert all(owned for owned, _ in entered)
 
 
 def test_count_drops_each_block_before_the_next_grows(monkeypatch):
-    # count lets go of a block and its weights before the walk grows the
+    # count lets go of a block and its weights before the walk extends the
     # next frontier, so they never sit beside it; n = 8 in blocks of 32,
     # extended and primitive-only (weighted blocks)
     monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", 32)
     yielded = []
-    blocks, grow = _enumeration._blocks, _enumeration._grow
+    blocks, extend = _enumeration._blocks, _enumeration._extend
 
     def recorded(*args):
-        for block, w in blocks(*args):
+        for share, block, w in blocks(*args):
             yielded.extend(weakref.ref(a) for a in (block, w) if a is not None)
-            yield block, w
+            yield share, block, w
             del block, w  # the wrapper holds nothing either
 
-    def checked(steps, keys, stack):
+    def checked(x, w, d, groups):
         assert all(ref() is None for ref in yielded)
-        return grow(steps, keys, stack)
+        return extend(x, w, d, groups)
 
     monkeypatch.setattr(_enumeration, "_blocks", recorded)
-    monkeypatch.setattr(_enumeration, "_grow", checked)
+    monkeypatch.setattr(_enumeration, "_extend", checked)
     for primitive_only, expected in ((False, 2520), (True, 10180)):
         assert _enumeration.count(8, _relation_masks(8, primitive_only)) == expected
     assert len(yielded) > 100
@@ -419,10 +419,11 @@ def test_count_from_last_survivors_matches_stream(n, primitive_only, block_entri
 def test_blocks_never_outgrow_the_block_size(monkeypatch):
     # a block that outgrows the size at the end of its steps is halved before
     # it is yielded, so count's survivor check never runs on more patterns;
-    # with merge keys no weight array outgrows the size either. Every merge
-    # table is smaller than the frontier it merges; a frontier passes the
-    # size only into a step that merges it, so none enters an extension with
-    # over twice the size and no merge reads over four times it
+    # with merge keys no weight array outgrows the size either, and the
+    # shares of the blocks sum to exactly 1. Every merge table is smaller
+    # than the frontier it merges; a frontier passes the size only into a
+    # step that merges it, so none enters an extension with over twice the
+    # size and no merge reads over four times it
     monkeypatch.setattr(_enumeration, "_BLOCK_ENTRIES", 32)
     merged = []
     merge = _enumeration._merge
@@ -439,10 +440,11 @@ def test_blocks_never_outgrow_the_block_size(monkeypatch):
             steps, keys = _plan(8, relations)
             for run, merge_keys in itertools.product((steps, steps[:-1]), (None, keys)):
                 blocks = list(_enumeration._blocks(run, merge_keys))
-                assert max(len(block) for block, _ in blocks) <= 32
-                assert all(w is None or len(w) == len(block) for block, w in blocks)
+                assert max(len(block) for _, block, _ in blocks) <= 32
+                assert all(w is None or len(w) == len(block) for _, block, w in blocks)
                 if merge_keys is None:
-                    assert all(w is None for _, w in blocks)
+                    assert all(w is None for *_, w in blocks)
+                assert sum(share for share, *_ in blocks) == 1
     assert any(weighted for _, _, weighted in merged)
     assert all(table < block <= 4 * 32 for table, block, _ in merged)
 

@@ -57,6 +57,26 @@ def test_solve_rejects_inconsistent():
         solve(poly, SignPattern.from_string(4, "--"))
 
 
+@pytest.mark.parametrize(
+    "check, argument, message",
+    [
+        (is_consistent, SignPattern(5, 0), "pattern is for n=5, polygon has n=6"),
+        (solve, SignPattern(5, 0), "pattern is for n=5, polygon has n=6"),
+        (reconstruct_sign_matrix, SignPattern(5, 0), "pattern is for n=5, polygon has n=6"),
+        (
+            ordering_from_sign_matrix,
+            reconstruct_sign_matrix(Polygon(5), SignPattern(5, 0)),
+            "matrix is for n=5, polygon has n=6",
+        ),
+    ],
+    ids=["is_consistent", "solve", "reconstruct_sign_matrix", "ordering_from_sign_matrix"],
+)
+def test_pattern_of_another_size_is_refused(check, argument, message):
+    # the message, not only the type: IntransitiveOrderError is a ValueError too
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(Polygon(6), argument)
+
+
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_solve_rejects_all_inconsistent_patterns(n):
     poly = Polygon(n)
