@@ -236,6 +236,24 @@ MUTATIONS = (
         'yield "oracle", True',
     ),
     Mutation(
+        "pattern-document-drops-first-chord",
+        "src/usigns/cli.py",
+        '"chords": poly.chords,',
+        '"chords": poly.chords[1:],',
+    ),
+    Mutation(
+        "trace-json-swap-is-chord",
+        "src/usigns/cli.py",
+        '"chord": step.chord,',
+        '"chord": step.swap,',
+    ),
+    Mutation(
+        "relation-json-t2-is-t1",
+        "src/usigns/cli.py",
+        '"t2": rel.t2,',
+        '"t2": rel.t1,',
+    ),
+    Mutation(
         "replay-swaps-wrong-place",
         "src/usigns/solver.py",
         "at[p - 1], at[b - 1] = at[b - 1], at[p - 1]",

@@ -30,7 +30,6 @@ from .solver import (
     InconsistentPatternError,
     IntransitiveOrderError,
     IterationLimitError,
-    SolverTrace,
     default_iteration_bound,
     ordering_from_sign_matrix,
     reconstruct_sign_matrix,
@@ -44,13 +43,15 @@ EXIT_USAGE = 3
 EXIT_STDOUT_CLOSED = 141  # what a shell reports for `yes | head`
 
 # solve prints a full pattern per walk step: a cold solve of a random word
-# (2 cores, Python 3.11) printed 0.9 MB in 0.6 s at 19 MB peak at n = 60,
-# and 7 MB in 3.3 s at 32 MB peak at n = 100
+# (2 cores, Python 3.11) printed 0.9 MB in 0.4 s at 17 MB peak at n = 60,
+# and 7 MB in 2.9 s at 18 MB peak at n = 100; --json builds its document
+# before it prints, and peaked at 20 and 41 MB
 _SOLVE_MAX_N = 60
 
 # sign-of holds its n(n-3)/2-bit pattern as one int and prints it as one
-# line; a cold run on a random word (2 cores, Python 3.11) took 0.6 s and
-# 69 MB at n = 1000 and 1.3 s and 135 MB at n = 1500
+# line; a cold run on a random word (2 cores, Python 3.11) took 0.4 s and
+# 69 MB at n = 1000 and 0.7 s and 136 MB at n = 1500; --json, which also
+# lists every chord, took 0.6 s and 80 MB at n = 1000
 _SIGN_OF_MAX_N = 1000
 
 
@@ -76,35 +77,9 @@ def _relation_line(rel: URelation) -> str:
     return f"{_product_str(rel.t1)} + {_product_str(rel.t2)} = 1"
 
 
-def _relation_json(rel: URelation) -> dict:
-    return {
-        "t1": [list(c) for c in rel.t1],
-        "t2": [list(c) for c in rel.t2],
-        "cuts": list(rel.cuts) if rel.cuts else None,
-    }
-
-
 def _pattern_document(poly: Polygon, pattern: SignPattern, **extra) -> dict:
-    doc = {
-        "n": poly.n,
-        "chords": [list(c) for c in poly.chords],
-        "signs": str(pattern),
-    }
-    doc.update(extra)
-    return doc
-
-
-def _trace_json(trace: SolverTrace) -> list[dict]:
-    return [
-        {
-            "chord": list(step.chord),
-            "swap": list(step.swap),
-            "pattern": str(step.pattern),
-            "negatives": step.negatives,
-            "min_length": step.min_length,
-        }
-        for step in trace.steps
-    ]
+    # json writes the library's tuples as it writes lists, with no copy
+    return {"n": poly.n, "chords": poly.chords, "signs": str(pattern), **extra}
 
 
 def _parse_pattern(poly: Polygon, text: str) -> SignPattern:
@@ -125,8 +100,8 @@ def cmd_relations(args) -> int:
     rels = primitive_relations(poly) if args.primitive else extended_relations(poly)
     if args.json:
         mode = "primitive" if args.primitive else "extended"
-        doc = {"n": args.n, "mode": mode, "relations": [_relation_json(r) for r in rels]}
-        print(json.dumps(doc))
+        relations = [{"t1": rel.t1, "t2": rel.t2, "cuts": rel.cuts} for rel in rels]
+        print(json.dumps({"n": args.n, "mode": mode, "relations": relations}))
     else:
         for rel in rels:
             print(_relation_line(rel))
@@ -195,7 +170,7 @@ def cmd_solve(args) -> int:
     if args.n > _SOLVE_MAX_N:
         raise ValueError(
             f"solve supports n <= {_SOLVE_MAX_N}, got {args.n}: a cold solve prints "
-            f"about 0.9 MB in 0.6 s at n = 60, 7 MB in 3.3 s at n = 100"
+            f"about 0.9 MB in 0.4 s at n = 60, 7 MB in 2.9 s at n = 100"
         )
     poly = Polygon(args.n)
     pattern = _parse_pattern(poly, args.pattern)
@@ -208,20 +183,29 @@ def cmd_solve(args) -> int:
         print(f"usigns: error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     if args.json:
+        steps = [
+            {
+                "chord": step.chord,
+                "swap": step.swap,
+                "pattern": str(step.pattern),
+                "negatives": step.negatives,
+                "min_length": step.min_length,
+            }
+            for step in trace.steps
+        ]
         doc = _pattern_document(
             poly,
             pattern,
-            ordering=list(word),
+            ordering=word,
             iterations=trace.iterations,
             iteration_bound=default_iteration_bound(poly.n),
-            trace=_trace_json(trace),
+            trace=steps,
         )
         print(json.dumps(doc))
     else:
         print("ordering:", " ".join(map(str, word)))
-        rendered = trace.render()
-        if rendered:
-            print(rendered)
+        for step in trace.steps:
+            print(step.render())
     return EXIT_OK
 
 
@@ -229,13 +213,13 @@ def cmd_sign_of(args) -> int:
     if args.n > _SIGN_OF_MAX_N:
         raise ValueError(
             f"sign-of supports n <= {_SIGN_OF_MAX_N}, got {args.n}: a cold run takes "
-            f"about 0.6 s and 70 MB at n = 1000, 1.3 s and 135 MB at n = 1500"
+            f"about 0.4 s and 69 MB at n = 1000 (80 MB with --json), 0.7 s and 136 MB at n = 1500"
         )
     poly = Polygon(args.n)
     word = _parse_word(args.ordering)
     pattern = sign_of_ordering(poly, word)  # the one check of the ordering
     if args.json:
-        print(json.dumps(_pattern_document(poly, pattern, ordering=list(canonicalize(word)))))
+        print(json.dumps(_pattern_document(poly, pattern, ordering=canonicalize(word))))
     else:
         print(pattern)
     return EXIT_OK

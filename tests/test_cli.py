@@ -13,15 +13,17 @@ import pytest
 import usigns
 from usigns import _enumeration
 from usigns.cli import main
-from usigns.ngon import Polygon
+from usigns.ngon import Polygon, canonicalize
 from usigns.patterns import SignPattern
 from usigns.points import realize, signs_from_points
-from usigns.relations import consistent_patterns
+from usigns.relations import consistent_patterns, extended_relations, primitive_relations
+from usigns.signs import sign_of_ordering
 from usigns.solver import (
     InconsistentPatternError,
     IntransitiveOrderError,
     IterationLimitError,
     SolverTrace,
+    solve,
 )
 
 
@@ -449,6 +451,59 @@ def test_sign_of_malformed(capsys):
     assert code == 3
     code, _, err = run(capsys, "sign-of", "5", "--ordering", "1,2,3,4,x")
     assert code == 3
+
+
+def _json_doc(capsys, *argv) -> dict:
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_sign_of_json_is_the_library_pattern(n, capsys):
+    poly, word = Polygon(n), random.Random(n).sample(range(1, n + 1), n)
+    doc = _json_doc(capsys, "sign-of", str(n), "--ordering", ",".join(map(str, word)))
+    assert doc == {
+        "n": n,
+        "chords": [list(c) for c in poly.chords],
+        "signs": str(sign_of_ordering(poly, word)),
+        "ordering": list(canonicalize(word)),
+    }
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_solve_json_trace_is_the_library_trace(n, capsys):
+    poly = Polygon(n)
+    pattern = sign_of_ordering(poly, random.Random(n).sample(range(1, n + 1), n))
+    word, trace = solve(poly, pattern)
+    doc = _json_doc(capsys, "solve", str(n), "--pattern", str(pattern))
+    assert trace.steps and doc["ordering"] == list(word)
+    assert doc["trace"] == [
+        {
+            "chord": list(step.chord),
+            "swap": list(step.swap),
+            "pattern": str(step.pattern),
+            "negatives": step.negatives,
+            "min_length": step.min_length,
+        }
+        for step in trace.steps
+    ]
+
+
+@pytest.mark.parametrize("primitive", [False, True])
+@pytest.mark.parametrize("n", range(4, 10))
+def test_relations_json_are_the_library_relations(n, primitive, capsys):
+    poly = Polygon(n)
+    rels = primitive_relations(poly) if primitive else extended_relations(poly)
+    doc = _json_doc(capsys, "relations", str(n), "--primitive" if primitive else "--extended")
+    assert doc["relations"] == [
+        {
+            "t1": [list(c) for c in rel.t1],
+            "t2": [list(c) for c in rel.t2],
+            "cuts": None if rel.cuts is None else list(rel.cuts),
+        }
+        for rel in rels
+    ]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
