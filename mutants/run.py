@@ -11,11 +11,13 @@ Every old text must occur exactly once in its file, so a refactor that moves
 the code breaks the list loudly: rewrite the mutation, or remove it and say
 why. The runner assumes tier-1 passes on the unmutated tree.
 
-    python mutants/run.py
+    python mutants/run.py [NAME ...]
 
-It prints killed or survived per mutation, with its time and the first
-failing test, and exits 1 if any mutation survives or any old text does not
-occur exactly once.
+With names, only the named mutations run; the old text of every mutation is
+still checked, and an unknown name exits 2 with the list of names. It prints
+killed or survived per mutation, with its time and the first failing test,
+and exits 1 if any mutation survives or any old text does not occur exactly
+once.
 """
 from __future__ import annotations
 
@@ -56,16 +58,22 @@ MUTATIONS = (
         "if at is None:",
     ),
     Mutation(
-        "interlacing-wraps-to-last-place",
-        "src/usigns/signs.py",
-        "w = [*at, at[0]]",
-        "w = [*at, at[-1]]",
+        "corners-wrap-to-last-index",
+        "src/usigns/ngon.py",
+        "(i - 1, i % n, j - 1, j % n) for i, j in self.chords",
+        "(i - 1, i % n, j - 1, min(j, n - 1)) for i, j in self.chords",
     ),
     Mutation(
-        "rows-wrap-to-last-place",
-        "src/usigns/monomial.py",
-        "w = [*at, at[0]]",
-        "w = [*at, at[-1]]",
+        "corners-middle-two-swapped",
+        "src/usigns/ngon.py",
+        "(i - 1, i % n, j - 1, j % n) for i, j in self.chords",
+        "(i - 1, j - 1, i % n, j % n) for i, j in self.chords",
+    ),
+    Mutation(
+        "walk-multiplies-by-u",
+        "src/usigns/points.py",
+        "Fraction(z.numerator * u.denominator, z.denominator * u.numerator)",
+        "Fraction(z.numerator * u.numerator, z.denominator * u.denominator)",
     ),
     Mutation(
         "points-from-u-skips-u-values",
@@ -336,21 +344,28 @@ def run(m: Mutation) -> tuple[bool, float, str]:
     return done.returncode != 0, seconds, first.group(1) if first else ""
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    known = [m.name for m in MUTATIONS]
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown mutation: {' '.join(unknown)}; the mutations are:", *known,
+              sep="\n  ", file=sys.stderr)
+        return 2
     errors = misplaced(MUTATIONS)
     if errors:
         print("\n".join(errors))
         return 1
+    chosen = [m for m in MUTATIONS if not names or m.name in names]
     survivors = []
-    for m in MUTATIONS:
+    for m in chosen:
         killed, seconds, first = run(m)
         if not killed:
             survivors.append(m.name)
         verdict = "killed" if killed else "SURVIVED"
         print(f"{verdict:8} {seconds:6.1f} s  {m.name}  {first}".rstrip(), flush=True)
-    print(f"{len(MUTATIONS) - len(survivors)} of {len(MUTATIONS)} killed")
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

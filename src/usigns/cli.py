@@ -44,8 +44,8 @@ EXIT_STDOUT_CLOSED = 141  # what a shell reports for `yes | head`
 
 # solve prints a full pattern per walk step: a cold solve of a random word
 # (2 cores, Python 3.11) printed 0.9 MB in 0.4 s at 17 MB peak at n = 60,
-# and 7 MB in 2.9 s at 18 MB peak at n = 100; --json builds its document
-# before it prints, and peaked at 20 and 41 MB
+# and 7 MB in 2.9 s at 18 MB peak at n = 100; --json writes its trace one
+# step at a time too, and peaked at 17 and 19.5 MB
 _SOLVE_MAX_N = 60
 
 # sign-of holds its n(n-3)/2-bit pattern as one int and prints it as one
@@ -183,25 +183,30 @@ def cmd_solve(args) -> int:
         print(f"usigns: error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     if args.json:
-        steps = [
-            {
+        head = json.dumps(
+            _pattern_document(
+                poly,
+                pattern,
+                ordering=word,
+                iterations=trace.iterations,
+                iteration_bound=default_iteration_bound(poly.n),
+                trace=[],
+            )
+        )
+        # trace, the last key, is written one step at a time, as json.dumps
+        # would write the whole list, so no document of every pattern is built
+        write = sys.stdout.write
+        write(head[:-2])
+        for k, step in enumerate(trace.steps):
+            entry = {
                 "chord": step.chord,
                 "swap": step.swap,
                 "pattern": str(step.pattern),
                 "negatives": step.negatives,
                 "min_length": step.min_length,
             }
-            for step in trace.steps
-        ]
-        doc = _pattern_document(
-            poly,
-            pattern,
-            ordering=word,
-            iterations=trace.iterations,
-            iteration_bound=default_iteration_bound(poly.n),
-            trace=steps,
-        )
-        print(json.dumps(doc))
+            write((", " if k else "") + json.dumps(entry))
+        write("]}\n")
     else:
         print("ordering:", " ".join(map(str, word)))
         for step in trace.steps:

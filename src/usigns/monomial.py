@@ -101,7 +101,7 @@ class MonomialMap:
     def _row_list(self) -> tuple[tuple[int, int, int, int, int, int, int], ...]:
         """``_rows``, read once for ``images``, ``evaluate`` and
         ``signs.transport``."""
-        return tuple(_rows(self.poly, self.source, self.target))
+        return tuple(list(_rows(self.poly, self.source, self.target)))
 
     @cached_property
     def images(self) -> tuple[SignedMonomial, ...]:
@@ -158,8 +158,9 @@ def _rows(
     ``ngon._cut_runs(poly, p, q, r, s, e1, e2)`` lists.
 
     For source chord (i, j), let A, B, C, E be the target positions of the
-    labels at source positions i, i+1, j, j+1 (mod n), and d_xy the
-    difference of the points at target positions x and y. The chord's u is
+    labels at source positions i, i+1, j, j+1 (mod n), read through the
+    chord's entry of ``poly.corners``, and d_xy the difference of the points
+    at target positions x and y. The chord's u is
     d_AE*d_BC / (d_AC*d_BE). Sort A, B, C, E to p < q < r < s; numerator and
     denominator are each one of the pairings X = d_pq*d_rs, Y = d_pr*d_qs and
     Z = d_ps*d_qr, up to sign. The two rectangles of target chords at those
@@ -170,9 +171,8 @@ def _rows(
     their sorted order.
     """
     at = _places(source, target)
-    w = [*at, at[0]]  # source position n + 1 is position 1
-    for i, j in poly.chords:
-        a, b, c, e = w[i - 1], w[i], w[j - 1], w[j]
+    for ka, kb, kc, ke in poly.corners:
+        a, b, c, e = at[ka], at[kb], at[kc], at[ke]
         p, q, r, s = sorted((a, b, c, e))
         # p's partner names each pairing: q in X, r in Y, s in Z
         if p == a:

@@ -76,6 +76,14 @@ class Polygon:
         )
 
     @cached_property
+    def corners(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Per chord (i, j), aligned with ``chords``, the 0-based indices
+        (i - 1, i mod n, j - 1, j mod n) of positions i, i + 1, j and j + 1,
+        position n + 1 being position 1: the four points of the chord's u."""
+        n = self.n
+        return tuple([(i - 1, i % n, j - 1, j % n) for i, j in self.chords])
+
+    @cached_property
     def lengths(self) -> tuple[int, ...]:
         """Cyclic length of every chord, aligned with ``chords``."""
         n = self.n

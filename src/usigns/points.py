@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .ngon import Chord, Polygon, _check_permutation
 from .patterns import SignPattern
@@ -101,7 +101,7 @@ class PointConfig:
         # (1 : p/q) scaled by q, and (0 : 1) as it is
         coords = [(p.y.denominator, p.y.numerator) if p.x else (0, 1) for p in self.points]
         self._set_dets(
-            tuple(tuple([xa * yb - ya * xb for xb, yb in coords]) for xa, ya in coords)
+            tuple([tuple([xa * yb - ya * xb for xb, yb in coords]) for xa, ya in coords])
         )
 
     def _set_dets(self, dets: tuple[tuple[int, ...], ...]) -> None:
@@ -152,8 +152,8 @@ class PointConfig:
         idx = _indices(self.n, word)
         rows = self._dets
         return PointConfig._from_table(
-            tuple(self.points[a] for a in idx),
-            tuple(tuple([rows[a][b] for b in idx]) for a in idx),
+            tuple([self.points[a] for a in idx]),
+            tuple([tuple([rows[a][b] for b in idx]) for a in idx]),
         )
 
 
@@ -168,8 +168,8 @@ def realize(poly: Polygon, word: Sequence[int]) -> PointConfig:
     for k, label in enumerate(word, start=1):
         position[label - 1] = k
     return PointConfig._from_table(
-        tuple(ProjectivePoint.finite(k) for k in position),
-        tuple(tuple([kb - ka for kb in position]) for ka in position),
+        tuple([ProjectivePoint.finite(k) for k in position]),
+        tuple([tuple([kb - ka for kb in position]) for ka in position]),
     )
 
 
@@ -184,13 +184,12 @@ def cross_ratio(config: PointConfig, i: int, j: int, k: int, l: int) -> Fraction
     return Fraction(d[i][k] * d[j][l], d[i][l] * d[j][k])
 
 
-def _u_terms(config: PointConfig) -> Iterator[tuple[int, int]]:
+def _u_terms(config: PointConfig) -> list[tuple[int, int]]:
     """Integer numerator and denominator of every chord's u-value, in
-    canonical chord order."""
-    n, d = config.n, config._dets
-    for i, j in Polygon(n).chords:
-        a, b, a1, b1 = i - 1, j - 1, i % n, j % n  # labels i, j, i+1, j+1
-        yield d[a][b1] * d[a1][b], d[a][b] * d[a1][b1]
+    canonical chord order: d_ae*d_bc and d_ac*d_be at the chord's corners
+    a, b, c, e, the indices of labels i, i+1, j and j+1."""
+    d = config._dets
+    return [(d[a][e] * d[b][c], d[a][c] * d[b][e]) for a, b, c, e in Polygon(config.n).corners]
 
 
 def u_values(config: PointConfig) -> dict[Chord, Fraction]:
@@ -226,7 +225,8 @@ def _nonzero_values(poly: Polygon, vals: Mapping[Chord, Fraction]) -> list[Fract
 def points_from_u(poly: Polygon, vals: Mapping[Chord, Fraction]) -> PointConfig:
     """Invert the dihedral embedding under the gauge z1=0, z2=1, zn=infinity.
 
-    Uses u_in = z_i / z_{i+1} to walk out z_3, ..., z_{n-1}. Where no u is
+    Uses u_in = z_i / z_{i+1} to walk out z_3, ..., z_{n-1}, each from the
+    integer numerator and denominator of the last and of u_in. Where no u is
     zero, the u-relations cut out exactly the image of the configurations of
     n distinct points (Brown 2009, section 2), so the values satisfy them
     exactly when the walked points are distinct and have the given u-values.
@@ -236,10 +236,13 @@ def points_from_u(poly: Polygon, vals: Mapping[Chord, Fraction]) -> PointConfig:
     n, index = poly.n, poly.pair_index
     values = [_ZERO, _ONE]
     for i in range(2, n - 1):
-        values.append(values[-1] / given[index[i][n]])
-    points = tuple(ProjectivePoint._canonical(_ONE, v) for v in values)
+        # one reduced Fraction per point, read back for the next step
+        z, u = values[-1], given[index[i][n]]
+        values.append(Fraction(z.numerator * u.denominator, z.denominator * u.numerator))
+    points = [ProjectivePoint._canonical(_ONE, v) for v in values]
+    points.append(ProjectivePoint.infinity())
     try:
-        config = PointConfig(points + (ProjectivePoint.infinity(),))
+        config = PointConfig(tuple(points))
     except ValueError as exc:  # two walked points coincide
         raise RelationViolationError(_VIOLATION) from exc
     # num/den == p/q on integers, as in u_values but without normalising
@@ -260,9 +263,9 @@ def standard_gauge(config: PointConfig, zero: int, one: int, infinity: int) -> P
     scale_num, scale_den = d[z][o], d[f][o]
     # (x : y) = (d_fk * scale_num : d_zk * scale_den), built canonical once
     return PointConfig(
-        tuple(
+        tuple([
             ProjectivePoint._canonical(_ONE, Fraction(d[z][k] * scale_den, d[f][k] * scale_num))
             if d[f][k] else ProjectivePoint.infinity()
             for k in range(config.n)
-        )
+        ])
     )

@@ -66,10 +66,9 @@ def _interlacing(poly: Polygon, at: Sequence[int]) -> SignPattern:
     """The pattern, in the current chart, of the ordering in which the label
     at chart position k stands at place ``at[k - 1]``: chord (i, j) is
     negative exactly when the places of positions {i, i+1} and {j, j+1}
-    (mod n) interlace."""
-    # the corners as ``monomial._rows`` reads them, position n + 1 as 1. One
-    # ASCII digit per chord, read as one base-2 int, since setting m bits one
-    # at a time on an m-bit int costs O(m^2)
-    w = [*at, at[0]]
-    digits = bytes(48 + _odd(w[i - 1], w[i], w[j - 1], w[j]) for i, j in poly.chords)
+    (mod n) interlace, read through ``poly.corners`` as ``monomial._rows``
+    reads them."""
+    # one ASCII digit per chord, read as one base-2 int, since setting m bits
+    # one at a time on an m-bit int costs O(m^2)
+    digits = bytes([48 + _odd(at[a], at[b], at[c], at[e]) for a, b, c, e in poly.corners])
     return SignPattern(poly.n, int(digits[::-1], 2))

@@ -13,7 +13,7 @@ import pytest
 import usigns
 from usigns import _enumeration
 from usigns.cli import main
-from usigns.ngon import Polygon, canonicalize
+from usigns.ngon import Polygon, all_orderings, canonicalize
 from usigns.patterns import SignPattern
 from usigns.points import realize, signs_from_points
 from usigns.relations import consistent_patterns, extended_relations, primitive_relations
@@ -23,6 +23,7 @@ from usigns.solver import (
     IntransitiveOrderError,
     IterationLimitError,
     SolverTrace,
+    default_iteration_bound,
     solve,
 )
 
@@ -488,6 +489,38 @@ def test_solve_json_trace_is_the_library_trace(n, capsys):
         }
         for step in trace.steps
     ]
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_solve_json_streams_the_library_document(n, capsys):
+    # stdout is json.dumps of the whole document plus a newline, byte for
+    # byte, for every ordering's pattern; the identity's is all-plus, whose
+    # trace is empty
+    poly = Polygon(n)
+    patterns = [sign_of_ordering(poly, w) for w in all_orderings(poly)]
+    assert patterns[0].bits == 0
+    for pattern in patterns:
+        word, trace = solve(poly, pattern)
+        doc = {
+            "n": n,
+            "chords": poly.chords,
+            "signs": str(pattern),
+            "ordering": word,
+            "iterations": trace.iterations,
+            "iteration_bound": default_iteration_bound(n),
+            "trace": [
+                {
+                    "chord": step.chord,
+                    "swap": step.swap,
+                    "pattern": str(step.pattern),
+                    "negatives": step.negatives,
+                    "min_length": step.min_length,
+                }
+                for step in trace.steps
+            ],
+        }
+        got = run(capsys, "solve", str(n), "--pattern", str(pattern), "--json")
+        assert got == (0, json.dumps(doc) + "\n", "")
 
 
 @pytest.mark.parametrize("primitive", [False, True])

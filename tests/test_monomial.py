@@ -386,6 +386,39 @@ def test_chart_change_matches_reference_on_every_word(n):
             assert (m.source, m.target, m.images) == reference_chart_change(poly, source, target)
 
 
+def reference_rows(poly, source, target):
+    """``monomial._rows`` from its docstring: A, B, C, E are the target
+    positions of the labels at source positions i, i+1, j, j+1, the chord's
+    u is d_AE*d_BC / (d_AC*d_BE), and each product is one of the pairings
+    X, Y, Z of the sorted p < q < r < s."""
+    place = {label: k for k, label in enumerate(target, 1)}
+    out = []
+    for i, j in poly.chords:
+        A, B, C, E = (place[source[poly.wrap(v) - 1]] for v in (i, i + 1, j, j + 1))
+        p, q, r, s = sorted((A, B, C, E))
+
+        def pairing(x, y, z, w):
+            return frozenset((frozenset((x, y)), frozenset((z, w))))
+
+        num, den = pairing(A, E, B, C), pairing(A, C, B, E)
+        X, Z = pairing(p, q, r, s), pairing(p, s, q, r)
+        odd = ((A > E) + (B > C) + (A > C) + (B > E)) % 2 == 1
+        out.append((odd, p, q, r, s, (num == Z) - (den == Z), (num == X) - (den == X)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(4, 31))
+def test_rows_match_docstring_reference(n):
+    poly = Polygon(n)
+    rng = random.Random(2900 + n)
+    ident = poly.identity_word
+    for _ in range(6):
+        word = tuple(rng.sample(ident, n))
+        other = tuple(rng.sample(ident, n))
+        for source, target in ((word, ident), (ident, word), (word, other)):
+            assert list(monomial._rows(poly, source, target)) == reference_rows(poly, source, target)
+
+
 @pytest.mark.parametrize("n", [20, 30])
 def test_map_for_ordering_matches_oracle_at_large_n(n):
     # no fold at this size: the relabeled configuration is the reference

@@ -71,6 +71,16 @@ def test_mask_and_lengths_tables(n):
         poly.mask([(1, 2)])
 
 
+@pytest.mark.parametrize("n", range(4, 41))
+def test_corners_table_matches_wrap(n):
+    # the 0-based indices of positions i, i + 1, j, j + 1, position n + 1 as 1
+    poly = Polygon(n)
+    assert poly.corners is poly.corners
+    assert poly.corners == tuple(
+        tuple(poly.wrap(v) - 1 for v in (i, i + 1, j, j + 1)) for i, j in poly.chords
+    )
+
+
 def test_chord_rejects_labels_outside_polygon():
     # labels are not wrapped: 0 and 7..9 are not vertices of the hexagon
     poly = Polygon(6)

@@ -22,7 +22,7 @@ from usigns import (
     signs_from_points,
     u_values,
 )
-from usigns.points import standard_gauge
+from usigns.points import _u_terms, standard_gauge
 
 from conftest import random_config, relations_vanish, transformed
 
@@ -106,6 +106,26 @@ def test_oracle_matches_fraction_reference(n):
         assert signs_from_points(config) == SignPattern.from_string(
             n, "".join("+" if reference[c] > 0 else "-" for c in poly.chords)
         )
+
+
+@pytest.mark.parametrize("n", range(4, 31))
+def test_u_terms_match_wrapped_determinants(n):
+    # d_ae*d_bc over d_ac*d_be at labels i, i+1, j, j+1, and its value the
+    # cross-ratio (i, i+1 | j+1, j) in Fractions
+    poly = Polygon(n)
+    rng = random.Random(2700 + n)
+    configs = [random_config(rng, n, with_infinity=t % 2 == 0) for t in range(4)]
+    configs.append(realize(poly, rng.sample(range(1, n + 1), n)))
+    for config in configs:
+        d = config._dets
+        terms = _u_terms(config)
+        assert len(terms) == poly.chord_count
+        for (i, j), (num, den) in zip(poly.chords, terms):
+            a, b, c, e = (poly.wrap(v) - 1 for v in (i, i + 1, j, j + 1))
+            assert (num, den) == (d[a][e] * d[b][c], d[a][c] * d[b][e])
+            assert Fraction(num, den) == reference_cross_ratio(
+                config, i, poly.wrap(i + 1), poly.wrap(j + 1), j
+            )
 
 
 def test_config_table_is_not_state():
@@ -324,13 +344,24 @@ def test_points_from_u_rejects_relation_violation():
         points_from_u(poly, {(1, 3): Fraction(1), (2, 4): Fraction(1)})
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("n", range(4, 31))
 def test_points_from_u_roundtrip(n):
+    # the walk returns the gauged configuration, and rejects one value off
+    # the walk's u_in or off any chord
     poly = Polygon(n)
-    for word in itertools.islice(all_orderings(poly), 60):
-        gauged = standard_gauge(realize(poly, word), 1, 2, n)
+    rng = random.Random(3300 + n)
+    configs = [realize(poly, word) for word in itertools.islice(all_orderings(poly), 60)]
+    configs += [realize(poly, rng.sample(range(1, n + 1), n)) for _ in range(6)]
+    configs += [random_config(rng, n, with_infinity=t % 2 == 0) for t in range(4)]
+    for config in configs:
+        gauged = standard_gauge(config, 1, 2, n)
         vals = u_values(gauged)
         assert points_from_u(poly, vals).points == gauged.points
+    for c in ((rng.randrange(2, n - 1), n), rng.choice(poly.chords)):
+        bad = dict(vals)
+        bad[c] *= Fraction(10**6 + 1, 10**6)
+        with pytest.raises(RelationViolationError):
+            points_from_u(poly, bad)
 
 
 def reference_standard_gauge(config, zero, one, infinity):

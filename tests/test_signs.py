@@ -22,6 +22,7 @@ from usigns import (
     transport,
 )
 from usigns import monomial
+from usigns.signs import _interlacing
 
 from conftest import (
     PENTAGON_TABLE,
@@ -152,6 +153,26 @@ def test_sign_of_ordering_matches_adjacent_swap_push(n):
     poly = Polygon(n)
     for word in itertools.permutations(poly.identity_word):
         assert sign_of_ordering(poly, word) == reference_sign_of_ordering(poly, word)
+
+
+def reference_interlacing(poly, at):
+    """Chord (i, j) is negative when exactly one of the places of positions j
+    and j + 1 lies strictly between the places of positions i and i + 1."""
+    bits = 0
+    for k, (i, j) in enumerate(poly.chords):
+        lo, hi = sorted((at[i - 1], at[poly.wrap(i + 1) - 1]))
+        c, e = at[j - 1], at[poly.wrap(j + 1) - 1]
+        bits |= ((lo < c < hi) != (lo < e < hi)) << k
+    return SignPattern(poly.n, bits)
+
+
+@pytest.mark.parametrize("n", range(4, 31))
+def test_interlacing_matches_interval_reference(n):
+    poly = Polygon(n)
+    rng = random.Random(3100 + n)
+    places = [list(poly.identity_word)] + [rng.sample(range(1, n + 1), n) for _ in range(12)]
+    for at in places:
+        assert _interlacing(poly, at) == reference_interlacing(poly, at)
 
 
 def test_sign_of_ordering_class_invariant_n30():
