@@ -47,7 +47,7 @@ class Mutation(NamedTuple):
 MUTATIONS = (
     Mutation(
         "odd-first-corner-flipped",
-        "src/usigns/monomial.py",
+        "src/usigns/signs.py",
         "return (a > e) ^ (b > c) ^ (a > c) ^ (b > e)",
         "return (a < e) ^ (b > c) ^ (a > c) ^ (b > e)",
     ),
@@ -68,6 +68,18 @@ MUTATIONS = (
         "src/usigns/ngon.py",
         "(i - 1, i % n, j - 1, j % n) for i, j in self.chords",
         "(i - 1, j - 1, i % n, j % n) for i, j in self.chords",
+    ),
+    Mutation(
+        "primitive-cuts-zero-based",
+        "src/usigns/relations.py",
+        "sorted(k + 1 for k in c)",
+        "sorted(k for k in c)",
+    ),
+    Mutation(
+        "oracle-digits-unreversed",
+        "src/usigns/points.py",
+        "int(digits[::-1], 2)",
+        "int(digits, 2)",
     ),
     Mutation(
         "walk-multiplies-by-u",
@@ -275,13 +287,13 @@ MUTATIONS = (
     ),
     Mutation(
         "parity-grid-corner-misread",
-        "src/usigns/signs.py",
+        "src/usigns/monomial.py",
         "odd ^= P[q][s] ^ P[p][s] ^ P[q][r] ^ P[p][r]",
         "odd ^= P[q][s] ^ P[p][r] ^ P[q][r] ^ P[p][r]",
     ),
     Mutation(
         "transport-drops-wrapped-half",
-        "src/usigns/signs.py",
+        "src/usigns/monomial.py",
         "P[r][s] ^ P[q][s] ^ P[p][r] ^ P[p][q]",
         "P[r][s] ^ P[q][s]",
     ),

@@ -33,8 +33,9 @@ from .monomial import (
     invert,
     map_for_ordering,
     map_for_transposition,
+    transport,
 )
-from .signs import sign_of_ordering, transport
+from .signs import sign_of_ordering
 from .solver import (
     InconsistentPatternError,
     IntransitiveOrderError,

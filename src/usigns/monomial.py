@@ -33,13 +33,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import mul, xor
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .ngon import Chord, Polygon, _check_permutation, _cut_runs
+from .patterns import SignPattern
 from .points import _nonzero_values
+from .signs import _odd, _places
 
 Word = tuple[int, ...]
+
+# binary digits -> the bit values 0 and 1
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 class ChartMismatchError(ValueError):
@@ -100,7 +105,7 @@ class MonomialMap:
     @cached_property
     def _row_list(self) -> tuple[tuple[int, int, int, int, int, int, int], ...]:
         """``_rows``, read once for ``images``, ``evaluate`` and
-        ``signs.transport``."""
+        ``transport``."""
         return tuple(list(_rows(self.poly, self.source, self.target)))
 
     @cached_property
@@ -137,18 +142,6 @@ class MonomialMap:
         )
 
 
-def _places(source: Sequence[int], target: Sequence[int]) -> list[int]:
-    """Per source position, the target position of the label it holds."""
-    position = {label: p for p, label in enumerate(target, 1)}
-    return [position[label] for label in source]
-
-
-def _odd(a: int, b: int, c: int, e: int) -> bool:
-    """True if the image of the chord with corners A, B, C, E is negative (see
-    ``_rows``); XOR, not a sum, since numpy adds bools as logical OR."""
-    return (a > e) ^ (b > c) ^ (a > c) ^ (b > e)
-
-
 def _rows(
     poly: Polygon, source: Word, target: Word
 ) -> Iterator[tuple[int, int, int, int, int, int, int]]:
@@ -166,7 +159,7 @@ def _rows(
     Z = d_ps*d_qr, up to sign. The two rectangles of target chords at those
     cuts telescope: R1 is Z/Y and R2 is X/Y. So the image is R1 to the
     power [numerator is Z] - [denominator is Z] times R2 to the power
-    [numerator is X] - [denominator is X], and its sign is ``_odd``: the
+    [numerator is X] - [denominator is X], and its sign is ``signs._odd``: the
     parity of (A > E) + (B > C) + (A > C) + (B > E), the d's written against
     their sorted order.
     """
@@ -273,3 +266,30 @@ def evaluate(m: MonomialMap, vals: Mapping[Chord, Fraction]) -> dict[Chord, Frac
                 bottom *= down[x][end] // down[x][s]
         out[c] = Fraction(top, bottom)
     return out
+
+
+def transport(pattern: SignPattern, m: MonomialMap) -> SignPattern:
+    """Pull a target-chart sign pattern back to the map's source chart.
+
+    An image's sign is the map's sign times the parity of the pattern's
+    negative chords in each rectangle whose exponent is odd, that is,
+    nonzero. ``P[x][y]``, the parity of the negative chords (a, b) with
+    a < x and b < y, gives a rectangle's parity from its four corners.
+    """
+    if pattern.n != m.n:
+        raise ValueError(f"pattern is for n={pattern.n}, map for n={m.n}")
+    poly = m.poly
+    n = poly.n
+    bits = format(pattern.bits, f"0{poly.chord_count}b")[::-1].encode().translate(_BIT_VALUES)
+    P = [[0] * (n + 2)]
+    for row in _row_prefixes(poly, bits, xor, 0):
+        P.append(list(map(xor, P[-1], row)))
+    end = n + 1
+    digits = bytearray()
+    for odd, p, q, r, s, e1, e2 in m._row_list:
+        if e1:  # R1 = [p, q) x [r, s)
+            odd ^= P[q][s] ^ P[p][s] ^ P[q][r] ^ P[p][r]
+        if e2:  # R2 = [q, r) x [s, n + 1) and [1, p) x [q, r); P[1] is 0, as no chord has a < 1
+            odd ^= P[r][end] ^ P[q][end] ^ P[r][s] ^ P[q][s] ^ P[p][r] ^ P[p][q]
+        digits.append(48 + odd)
+    return SignPattern(n, int(digits[::-1], 2))

@@ -201,11 +201,8 @@ def u_values(config: PointConfig) -> dict[Chord, Fraction]:
 
 def signs_from_points(config: PointConfig) -> SignPattern:
     """Sign of every dihedral coordinate; depends only on the circular order."""
-    bits = 0
-    for k, (num, den) in enumerate(_u_terms(config)):
-        if (num < 0) != (den < 0):
-            bits |= 1 << k
-    return SignPattern(config.n, bits)
+    digits = bytes([48 + ((num < 0) != (den < 0)) for num, den in _u_terms(config)])
+    return SignPattern(config.n, int(digits[::-1], 2))
 
 
 def _nonzero_values(poly: Polygon, vals: Mapping[Chord, Fraction]) -> list[Fraction]:

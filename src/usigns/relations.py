@@ -47,12 +47,13 @@ def _relation_terms(poly: Polygon, primitive_only: bool) -> Iterator[tuple]:
 
     An extended relation is one choice of 4 cuts, in ``combinations`` order,
     R1 first. The primitive relation of chord (i, j), u_ij + prod(crossing
-    chords), is the one at cuts i, i+1, j, j+1 (mod n), its own term first;
-    for j = n those sort to 1, i, i+1, n, the chord is in R2, and R2 is first.
+    chords), is the one at its ``poly.corners`` i, i+1, j, j+1 (mod n), its own
+    term first; for j = n, whose last corner wraps to 1, those sort to
+    1, i, i+1, n, the chord is in R2, and R2 is first.
     """
     n = poly.n
     if primitive_only:
-        cut_list = ((tuple(sorted((i, i + 1, j, j % n + 1))), j == n) for i, j in poly.chords)
+        cut_list = ((tuple(sorted(k + 1 for k in c)), c[3] == 0) for c in poly.corners)
     else:
         cut_list = ((cuts, False) for cuts in itertools.combinations(range(1, n + 1), 4))
     for cuts, own_second in cut_list:

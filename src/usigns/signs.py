@@ -1,51 +1,20 @@
-"""Transport of sign patterns through chart changes.
+"""The place reader: chord signs read off the places of an ordering.
 
-A point with chord signs s in the target chart has, for every source chord,
-the sign of its monomial image: the map's own sign times the parity of the
-negative values raised to odd exponents. That orthant bookkeeping links
-dihedral orderings to sign patterns: each ordering corresponds to the unique
-standard-chart pattern whose transport into that ordering's chart is the
-all-plus orthant, i.e. the signs of the chart change from the standard chart
-to the ordering's chart.
+Chord (i, j) of a chart is negative exactly when the places, in an ordering,
+of the labels at chart positions {i, i+1} and {j, j+1} (mod n) interlace.
+``_places`` lists those places, ``_odd`` is the interlacing test at a chord's
+four corners, and ``_interlacing`` runs it over ``poly.corners``. That is the
+one rule behind ``sign_of_ordering``, ``solver.solve``'s certificate and
+replay, and the image signs of ``monomial._rows``: the pattern of an
+ordering is the unique standard-chart pattern whose transport into that
+ordering's chart is the all-plus orthant.
 """
 from __future__ import annotations
 
-from operator import xor
 from typing import Sequence
 
 from .ngon import Polygon, _check_permutation
-from .monomial import MonomialMap, _odd, _places, _row_prefixes
 from .patterns import SignPattern
-
-# binary digits -> the bit values 0 and 1
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
-
-
-def transport(pattern: SignPattern, m: MonomialMap) -> SignPattern:
-    """Pull a target-chart sign pattern back to the map's source chart.
-
-    An image's sign is the map's sign times the parity of the pattern's
-    negative chords in each rectangle whose exponent is odd, that is,
-    nonzero. ``P[x][y]``, the parity of the negative chords (a, b) with
-    a < x and b < y, gives a rectangle's parity from its four corners.
-    """
-    if pattern.n != m.n:
-        raise ValueError(f"pattern is for n={pattern.n}, map for n={m.n}")
-    poly = m.poly
-    n = poly.n
-    bits = format(pattern.bits, f"0{poly.chord_count}b")[::-1].encode().translate(_BIT_VALUES)
-    P = [[0] * (n + 2)]
-    for row in _row_prefixes(poly, bits, xor, 0):
-        P.append(list(map(xor, P[-1], row)))
-    end = n + 1
-    digits = bytearray()
-    for odd, p, q, r, s, e1, e2 in m._row_list:
-        if e1:  # R1 = [p, q) x [r, s)
-            odd ^= P[q][s] ^ P[p][s] ^ P[q][r] ^ P[p][r]
-        if e2:  # R2 = [q, r) x [s, n + 1) and [1, p) x [q, r); P[1] is 0, as no chord has a < 1
-            odd ^= P[r][end] ^ P[q][end] ^ P[r][s] ^ P[q][s] ^ P[p][r] ^ P[p][q]
-        digits.append(48 + odd)
-    return SignPattern(n, int(digits[::-1], 2))
 
 
 def sign_of_ordering(poly: Polygon, word: Sequence[int]) -> SignPattern:
@@ -60,6 +29,19 @@ def sign_of_ordering(poly: Polygon, word: Sequence[int]) -> SignPattern:
     """
     word = _check_permutation(word, poly.n)
     return _interlacing(poly, _places(poly.identity_word, word))
+
+
+def _places(source: Sequence[int], target: Sequence[int]) -> list[int]:
+    """Per source position, the target position of the label it holds."""
+    position = {label: p for p, label in enumerate(target, 1)}
+    return [position[label] for label in source]
+
+
+def _odd(a: int, b: int, c: int, e: int) -> bool:
+    """True if the places {a, b} and {c, e} interlace, that is, if the image
+    of the chord with corners A, B, C, E is negative (see ``monomial._rows``);
+    XOR, not a sum, since numpy adds bools as logical OR."""
+    return (a > e) ^ (b > c) ^ (a > c) ^ (b > e)
 
 
 def _interlacing(poly: Polygon, at: Sequence[int]) -> SignPattern:

@@ -17,10 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .monomial import _places
 from .ngon import Polygon, canonicalize
 from .patterns import SignPattern, shortest_negative, stats
-from .signs import _interlacing
+from .signs import _interlacing, _places
 
 
 class InconsistentPatternError(ValueError):

@@ -25,7 +25,7 @@ from usigns import (
     transport,
     u_values,
 )
-from usigns import monomial
+from usigns import monomial, signs
 from usigns.points import standard_gauge
 
 from conftest import label_chord, random_config, reference_elementary_images
@@ -54,9 +54,9 @@ def test_odd_is_the_parity_of_four_corner_compares():
 
     orders = list(itertools.permutations(range(4)))
     want = [((a > e) + (b > c) + (a > c) + (b > e)) & 1 for a, b, c, e in orders]
-    assert [monomial._odd(*order) for order in orders] == want
+    assert [signs._odd(*order) for order in orders] == want
     columns = np.array(orders, dtype=np.int8).T
-    assert monomial._odd(*columns).tolist() == want
+    assert signs._odd(*columns).tolist() == want
 
 
 def test_identity_map():
