@@ -76,10 +76,22 @@ MUTATIONS = (
         "sorted(k for k in c)",
     ),
     Mutation(
-        "oracle-digits-unreversed",
-        "src/usigns/points.py",
-        "int(digits[::-1], 2)",
-        "int(digits, 2)",
+        "flags-parsed-unreversed",
+        "src/usigns/patterns.py",
+        "int(bytes(flags)[::-1].translate(_TO_DIGITS), 2)",
+        "int(bytes(flags).translate(_TO_DIGITS), 2)",
+    ),
+    Mutation(
+        "flags-read-unreversed",
+        "src/usigns/patterns.py",
+        'format(self.bits, f"0{len(self)}b")[::-1].encode()',
+        'format(self.bits, f"0{len(self)}b").encode()',
+    ),
+    Mutation(
+        "sign-characters-swapped",
+        "src/usigns/patterns.py",
+        '_SIGNS = "+-"',
+        '_SIGNS = "-+"',
     ),
     Mutation(
         "walk-multiplies-by-u",

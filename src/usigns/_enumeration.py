@@ -30,8 +30,8 @@ it, so it merges whole, once, and not once per half. Primitive plans merge
 from n = 6; extended ones never before the last step, so their counts and
 every stream do no merge work.
 
-A written pattern is read a byte at a time: each of the bytes that hold chords
-picks the eight sign characters of its value from one 256-row table.
+A written pattern is read a byte at a time: each byte that holds chords picks
+the eight ``patterns._SIGNS`` characters of its value from one 256-row table.
 """
 from __future__ import annotations
 
@@ -42,6 +42,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from .ngon import Polygon
+from .patterns import _SIGNS
 
 # most patterns one block extends at once
 _BLOCK_ENTRIES = 1 << 16
@@ -52,8 +53,8 @@ _GROUP = 32
 # patterns ``write_consistent`` formats per write
 _WRITE_ROWS = 1 << 12
 
-# the sign character of a clear and of a set chord bit, as in SignPattern.__str__
-_SIGN_BYTES = np.frombuffer(b"+-", dtype=np.uint8)
+# the sign character of a clear and of a set chord bit, from SignPattern's codec
+_SIGN_BYTES = np.frombuffer(_SIGNS.encode(), dtype=np.uint8)
 
 # row v: the sign characters of byte value v, its lowest bit first
 _SIGN_TABLE = _SIGN_BYTES[

@@ -43,9 +43,6 @@ from .signs import _odd, _places
 
 Word = tuple[int, ...]
 
-# binary digits -> the bit values 0 and 1
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
-
 
 class ChartMismatchError(ValueError):
     """Composition of maps whose charts do not chain."""
@@ -280,16 +277,15 @@ def transport(pattern: SignPattern, m: MonomialMap) -> SignPattern:
         raise ValueError(f"pattern is for n={pattern.n}, map for n={m.n}")
     poly = m.poly
     n = poly.n
-    bits = format(pattern.bits, f"0{poly.chord_count}b")[::-1].encode().translate(_BIT_VALUES)
     P = [[0] * (n + 2)]
-    for row in _row_prefixes(poly, bits, xor, 0):
+    for row in _row_prefixes(poly, pattern._flags(), xor, 0):
         P.append(list(map(xor, P[-1], row)))
     end = n + 1
-    digits = bytearray()
+    flags = bytearray()
     for odd, p, q, r, s, e1, e2 in m._row_list:
         if e1:  # R1 = [p, q) x [r, s)
             odd ^= P[q][s] ^ P[p][s] ^ P[q][r] ^ P[p][r]
         if e2:  # R2 = [q, r) x [s, n + 1) and [1, p) x [q, r); P[1] is 0, as no chord has a < 1
             odd ^= P[r][end] ^ P[q][end] ^ P[r][s] ^ P[q][s] ^ P[p][r] ^ P[p][q]
-        digits.append(48 + odd)
-    return SignPattern(n, int(digits[::-1], 2))
+        flags.append(odd)
+    return SignPattern._from_flags(n, flags)

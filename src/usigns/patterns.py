@@ -2,19 +2,24 @@
 
 A sign pattern assigns + or - to every chord, i.e. it picks an orthant of the
 ambient space of the dihedral embedding. Patterns are backed by an integer
-bitmask in the canonical chord order (bit set = negative), which keeps the
-enumeration and the solver's sign transports cheap.
+bitmask in the canonical chord order (chord k is bit k, set = negative), and
+``SignPattern`` is its one codec: bits <-> chord-order flags (``_from_flags``,
+``_flags``) <-> '+'/'-' text (``_SIGNS``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .ngon import Chord, Polygon
 
-# binary digits <-> sign characters; chord k is bit k, so strings read reversed
-_TO_SIGNS = str.maketrans("01", "+-")
-_FROM_SIGNS = str.maketrans("+-", "01")
+# the sign character of a clear and of a set chord bit
+_SIGNS = "+-"
+# chord flags <-> sign characters, and <-> binary digits
+_TO_SIGNS = bytes.maketrans(b"\0\1", _SIGNS.encode())
+_FROM_SIGNS = bytes.maketrans(_SIGNS.encode(), b"\0\1")
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -41,11 +46,17 @@ class SignPattern:
     def from_string(cls, n: int, s: str) -> "SignPattern":
         """Parse '+'/'-' characters in canonical chord order."""
         m = Polygon(n).chord_count
-        if len(s) != m or set(s) - {"+", "-"}:
+        if len(s) != m or set(s) - set(_SIGNS):
             raise ValueError(
                 f"pattern must be {m} characters over '+'/'-', got {s!r}"
             )
-        return cls(n, int(s[::-1].translate(_FROM_SIGNS), 2))
+        return cls._from_flags(n, s.encode().translate(_FROM_SIGNS))
+
+    @classmethod
+    def _from_flags(cls, n: int, flags: bytes | Sequence[bool]) -> "SignPattern":
+        """Chord k negative where ``flags[k]``, bytes or bools, is 1: one base-2
+        parse of ASCII digits, as setting m bits one at a time on an m-bit int is O(m^2)."""
+        return cls(n, int(bytes(flags)[::-1].translate(_TO_DIGITS), 2))
 
     @classmethod
     def from_negative_chords(cls, n: int, negatives: Iterable[Chord]) -> "SignPattern":
@@ -55,8 +66,11 @@ class SignPattern:
         return Polygon(self.n).chord_count
 
     def __str__(self) -> str:
-        m = Polygon(self.n).chord_count
-        return format(self.bits, f"0{m}b")[::-1].translate(_TO_SIGNS)
+        return self._flags().translate(_TO_SIGNS).decode()
+
+    def _flags(self) -> bytes:
+        """One byte per chord in chord order, 1 where the chord is negative."""
+        return format(self.bits, f"0{len(self)}b")[::-1].encode().translate(_FROM_DIGITS)
 
     def is_negative(self, c: Chord) -> bool:
         return bool(self.bits & Polygon(self.n).mask((c,)))

@@ -201,8 +201,8 @@ def u_values(config: PointConfig) -> dict[Chord, Fraction]:
 
 def signs_from_points(config: PointConfig) -> SignPattern:
     """Sign of every dihedral coordinate; depends only on the circular order."""
-    digits = bytes([48 + ((num < 0) != (den < 0)) for num, den in _u_terms(config)])
-    return SignPattern(config.n, int(digits[::-1], 2))
+    flags = [(num < 0) != (den < 0) for num, den in _u_terms(config)]
+    return SignPattern._from_flags(config.n, flags)
 
 
 def _nonzero_values(poly: Polygon, vals: Mapping[Chord, Fraction]) -> list[Fraction]:

@@ -3,11 +3,11 @@
 Chord (i, j) of a chart is negative exactly when the places, in an ordering,
 of the labels at chart positions {i, i+1} and {j, j+1} (mod n) interlace.
 ``_places`` lists those places, ``_odd`` is the interlacing test at a chord's
-four corners, and ``_interlacing`` runs it over ``poly.corners``. That is the
-one rule behind ``sign_of_ordering``, ``solver.solve``'s certificate and
-replay, and the image signs of ``monomial._rows``: the pattern of an
-ordering is the unique standard-chart pattern whose transport into that
-ordering's chart is the all-plus orthant.
+four corners, and ``_interlacing`` runs it over ``poly.corners``, one flag per
+chord for ``SignPattern._from_flags``. That one rule is behind
+``sign_of_ordering``, ``solver.solve``'s certificate and replay, and the image
+signs of ``monomial._rows``: an ordering's pattern is the unique
+standard-chart pattern whose transport into its chart is all-plus.
 """
 from __future__ import annotations
 
@@ -50,7 +50,5 @@ def _interlacing(poly: Polygon, at: Sequence[int]) -> SignPattern:
     negative exactly when the places of positions {i, i+1} and {j, j+1}
     (mod n) interlace, read through ``poly.corners`` as ``monomial._rows``
     reads them."""
-    # one ASCII digit per chord, read as one base-2 int, since setting m bits
-    # one at a time on an m-bit int costs O(m^2)
-    digits = bytes([48 + _odd(at[a], at[b], at[c], at[e]) for a, b, c, e in poly.corners])
-    return SignPattern(poly.n, int(digits[::-1], 2))
+    flags = [_odd(at[a], at[b], at[c], at[e]) for a, b, c, e in poly.corners]
+    return SignPattern._from_flags(poly.n, flags)

@@ -243,6 +243,29 @@ def table_from_images(poly, images):
     )
 
 
+@lru_cache(maxsize=None)
+def elementary_tables(n):
+    """Transport tables of the n adjacent-swap chart changes, read off the
+    five-case formula; k at index k - 1."""
+    poly = Polygon(n)
+    return tuple(
+        table_from_images(poly, reference_elementary_images(poly, k)) for k in range(1, n + 1)
+    )
+
+
+def sort_positions(word):
+    """First-descent bubble sort; yields each swapped position pair's k."""
+    w = list(word)
+    while True:
+        for k in range(len(w) - 1):
+            if w[k] > w[k + 1]:
+                w[k], w[k + 1] = w[k + 1], w[k]
+                yield k + 1
+                break
+        else:
+            return
+
+
 def random_config(rng: random.Random, n: int, with_infinity: bool = False) -> PointConfig:
     """n distinct random rational points, optionally one at infinity."""
     values: list = []

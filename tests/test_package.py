@@ -17,6 +17,28 @@ def test_all_names_resolve_and_hold_no_module():
     assert "points_from_u" in namespace and "relations" not in namespace
 
 
+def test_sign_word_layout_only_in_patterns():
+    # SignPattern is the one codec between a pattern's bits and its chord
+    # signs: no other module reverses a digit string, parses base 2, builds
+    # a translation table or spells the sign characters
+    found = []
+    for path in sorted(Path(usigns.__file__).parent.glob("*.py")):
+        if path.name == "patterns.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Slice) and ast.unparse(node) == "::-1":
+                found.append((path.name, node.lineno, "[::-1]"))
+            elif isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if called == "int" and len(node.args) + len(node.keywords) == 2:
+                    found.append((path.name, node.lineno, "int(..., base)"))
+                elif called == "maketrans":
+                    found.append((path.name, node.lineno, "maketrans"))
+            elif isinstance(node, ast.Constant) and node.value in ("+-", b"+-"):
+                found.append((path.name, node.lineno, repr(node.value)))
+    assert found == []
+
+
 def test_place_reader_in_signs_and_map_rows_in_monomial():
     # one module turns places into chord signs and one reads a map's rows:
     # only signs defines _places, _odd and _interlacing, only monomial names

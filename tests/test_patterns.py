@@ -28,6 +28,22 @@ def test_parse_and_format_roundtrip():
             assert SignPattern.from_string(n, text) == p
 
 
+@pytest.mark.parametrize("n", range(4, 31))
+def test_flags_codec_round_trips(n):
+    # SignPattern alone packs and unpacks chord flags: flag k is chord k's
+    # sign, and bytes and bools read back to the same pattern
+    poly = Polygon(n)
+    m = poly.chord_count
+    rng = random.Random(3500 + n)
+    for bits in [0, (1 << m) - 1, 1, 1 << m - 1] + [rng.getrandbits(m) for _ in range(8)]:
+        p = SignPattern(n, bits)
+        flags = p._flags()
+        assert type(flags) is bytes
+        assert flags == bytes(p.is_negative(c) for c in poly.chords)
+        assert SignPattern._from_flags(n, flags) == p
+        assert SignPattern._from_flags(n, [f == 1 for f in flags]) == p
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         SignPattern.from_string(5, "-+++")
