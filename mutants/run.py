@@ -4,8 +4,10 @@ A mutation is one exact edit: a file under the repository root, an old text
 and the new text that replaces it. For each one the runner copies ``src/``,
 ``tests/`` and ``pyproject.toml`` into a temporary directory, applies the
 edit there and runs the tier-1 tests on the copy, stopping at the first
-failure and leaving out the ``stretch`` tests. A mutation is killed when the
-tests fail.
+failure and leaving out the ``stretch`` tests. The test files are named one
+by one, ``tests/test_<module>.py`` of the mutated ``src/usigns/<module>.py``
+first, so that the tests nearest the edit run before the rest. A mutation is
+killed when the tests fail.
 
 Every old text must occur exactly once in its file, so a refactor that moves
 the code breaks the list loudly: rewrite the mutation, or remove it and say
@@ -107,9 +109,21 @@ MUTATIONS = (
     ),
     Mutation(
         "picker-longest-first",
+        "src/usigns/ngon.py",
+        "for d in range(2, n // 2 + 1):",
+        "for d in range(n // 2, 1, -1):",
+    ),
+    Mutation(
+        "picker-ties-a-descending",
+        "src/usigns/ngon.py",
+        "for a in range(1, last + 1))",
+        "for a in range(last, 0, -1))",
+    ),
+    Mutation(
+        "picker-wrapped-hit-unflipped",
         "src/usigns/patterns.py",
-        "(d, i, j) if j - i == d else (d, j, poly.wrap(j + d))",
-        "(-d, i, j) if j - i == d else (-d, j, poly.wrap(j + d))",
+        "return (i, j) if 2 * (j - i) <= poly.n else (j, i)",
+        "return (i, j)",
     ),
     Mutation(
         "extended-masks-drop-first-relation",
@@ -298,6 +312,12 @@ MUTATIONS = (
         "neg = [[1] * (n + 1) for _ in range(n)]\n    neg[1][n] ^= n >= 9",
     ),
     Mutation(
+        "matrix-flag-read-one-row-down",
+        "src/usigns/solver.py",
+        "f[index[i - 1][j]]",
+        "f[index[i][j]]",
+    ),
+    Mutation(
         "parity-grid-corner-misread",
         "src/usigns/monomial.py",
         "odd ^= P[q][s] ^ P[p][s] ^ P[q][r] ^ P[p][r]",
@@ -322,6 +342,14 @@ PYTEST = (
     "-B", "-m", "pytest", "-q", "-x", "-m", "not stretch", "-p", "no:cacheprovider",
     "--continue-on-collection-errors",
 )
+
+
+def test_files(tests: Path, path: str) -> list[str]:
+    """Every tier-1 test file under ``tests``, relative to its parent, that of
+    the module at ``path`` first."""
+    own = f"test_{Path(path).stem}.py"
+    files = sorted(tests.glob("test_*.py"), key=lambda f: (f.name != own, f.name))
+    return [f"{tests.name}/{f.name}" for f in files]
 
 
 def misplaced(mutations) -> list[str]:
@@ -356,7 +384,7 @@ def run(m: Mutation) -> tuple[bool, float, str]:
         t0 = time.perf_counter()
         try:
             done = subprocess.run(
-                [sys.executable, *PYTEST], cwd=copy, env=env,
+                [sys.executable, *PYTEST, *test_files(copy / "tests", m.path)], cwd=copy, env=env,
                 capture_output=True, text=True, timeout=TIMEOUT_S,
             )
         except subprocess.TimeoutExpired:

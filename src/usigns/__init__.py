@@ -11,8 +11,6 @@ from .ngon import (
     Polygon,
     all_orderings,
     canonicalize,
-    crosses,
-    crossing_chords,
     ordering_count,
 )
 from .patterns import SignPattern, shortest_negative, stats

@@ -43,15 +43,15 @@ EXIT_USAGE = 3
 EXIT_STDOUT_CLOSED = 141  # what a shell reports for `yes | head`
 
 # solve prints a full pattern per walk step: a cold solve of a random word
-# (2 cores, Python 3.11) printed 0.9 MB in 0.4 s at 17 MB peak at n = 60,
-# and 7 MB in 2.9 s at 18 MB peak at n = 100; --json writes its trace one
-# step at a time too, and peaked at 17 and 19.5 MB
+# (2 cores, Python 3.11) printed 0.9 MB in 0.3 s at 17 MB peak at n = 60,
+# and 7 MB in 1.3-1.6 s at 19 MB peak at n = 100; --json writes its trace
+# one step at a time too, and peaked at 17 and 19.5 MB
 _SOLVE_MAX_N = 60
 
 # sign-of holds its n(n-3)/2-bit pattern as one int and prints it as one
-# line; a cold run on a random word (2 cores, Python 3.11) took 0.4 s and
-# 69 MB at n = 1000 and 0.7 s and 136 MB at n = 1500; --json, which also
-# lists every chord, took 0.6 s and 80 MB at n = 1000
+# line; a cold run on a random word (2 cores, Python 3.11) took 0.45 s and
+# 157 MB at n = 1000 and 1.2 s and 347 MB at n = 1500; --json, which also
+# lists every chord, took 0.6 s and 173 MB at n = 1000
 _SIGN_OF_MAX_N = 1000
 
 
@@ -170,7 +170,7 @@ def cmd_solve(args) -> int:
     if args.n > _SOLVE_MAX_N:
         raise ValueError(
             f"solve supports n <= {_SOLVE_MAX_N}, got {args.n}: a cold solve prints "
-            f"about 0.9 MB in 0.4 s at n = 60, 7 MB in 2.9 s at n = 100"
+            f"about 0.9 MB in 0.3 s at n = 60, 7 MB in 1.5 s at n = 100"
         )
     poly = Polygon(args.n)
     pattern = _parse_pattern(poly, args.pattern)
@@ -218,7 +218,8 @@ def cmd_sign_of(args) -> int:
     if args.n > _SIGN_OF_MAX_N:
         raise ValueError(
             f"sign-of supports n <= {_SIGN_OF_MAX_N}, got {args.n}: a cold run takes "
-            f"about 0.4 s and 69 MB at n = 1000 (80 MB with --json), 0.7 s and 136 MB at n = 1500"
+            f"about 0.45 s and 157 MB at n = 1000 (173 MB with --json), "
+            f"1.2 s and 347 MB at n = 1500"
         )
     poly = Polygon(args.n)
     word = _parse_word(args.ordering)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -89,6 +90,17 @@ class Polygon:
         n = self.n
         return tuple(min(j - i, n - (j - i)) for i, j in self.chords)
 
+    @cached_property
+    def _pick_order(self) -> array:
+        """Every chord index in the order the picker reads them: by length d,
+        then by a, the chord being {a, a + d mod n} (a <= n/2 when 2d = n)."""
+        n, index = self.n, self.pair_index
+        order = array("I")
+        for d in range(2, n // 2 + 1):
+            last = n if 2 * d < n else d  # a diameter once, from its lower end
+            order.extend(index[a][(a + d - 1) % n + 1] for a in range(1, last + 1))
+        return order
+
     def mask(self, chords: Iterable[Chord]) -> int:
         """Bitmask over the canonical chord order of the given chords, in
         either orientation (bit k set = chord k listed)."""
@@ -125,31 +137,6 @@ class Polygon:
     @cached_property
     def identity_word(self) -> tuple[int, ...]:
         return tuple(range(1, self.n + 1))
-
-
-def crosses(poly: Polygon, c1: Chord, c2: Chord) -> bool:
-    """Whether two distinct chords cross in the planar drawing.
-
-    True iff one endpoint of c2 lies strictly inside each of the two open
-    arcs cut out by c1; chords sharing an endpoint never cross.
-    """
-    c1 = poly.chord(*c1)
-    c2 = poly.chord(*c2)
-    if c1 == c2:
-        raise ValueError("crossing is only defined for distinct chords")
-    i, j = c1
-    k, l = c2
-    if k in c1 or l in c1:
-        return False
-    k_inside = i < k < j
-    l_inside = i < l < j
-    return k_inside != l_inside
-
-
-def crossing_chords(poly: Polygon, c: Chord) -> tuple[Chord, ...]:
-    """All chords crossing c, in canonical order."""
-    c = poly.chord(*c)
-    return tuple(d for d in poly.chords if d != c and crosses(poly, c, d))
 
 
 def _check_permutation(word: Sequence[int], n: int | None = None) -> tuple[int, ...]:

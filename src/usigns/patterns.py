@@ -9,6 +9,7 @@ bitmask in the canonical chord order (chord k is bit k, set = negative), and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .ngon import Chord, Polygon
@@ -104,15 +105,13 @@ def shortest_negative(pattern: SignPattern) -> tuple[int, int]:
 
     The orientation runs along the short arc a -> a+1 -> ... -> b; when both
     arcs tie (length n/2) the orientation with the smaller first endpoint is
-    used. Ties between chords are broken lexicographically on (a, b).
+    used. Ties between chords are broken lexicographically on (a, b): the
+    first negative chord of ``Polygon._pick_order``.
     """
-    bits = pattern.bits
-    if not bits:
+    if not pattern.bits:
         raise ValueError("pattern has no negative chord")
-    poly = Polygon(pattern.n)
-    _, a, b = min(
-        (d, i, j) if j - i == d else (d, j, poly.wrap(j + d))
-        for k, ((i, j), d) in enumerate(zip(poly.chords, poly.lengths))
-        if bits >> k & 1
-    )
-    return a, b
+    poly, flags = Polygon(pattern.n), pattern._flags()
+    order = poly._pick_order
+    i, j = poly.chords[next(compress(order, map(flags.__getitem__, order)))]
+    # the short arc runs i -> j unless it wraps past n, then j -> i
+    return (i, j) if 2 * (j - i) <= poly.n else (j, i)

@@ -2,7 +2,7 @@
 
 * ``reconstruct_sign_matrix`` + ``ordering_from_sign_matrix`` rebuild the
   pairwise order of the underlying points directly from the pattern by a
-  double recursion on its chord bits, then sort.
+  double recursion on its chord flags, then sort.
 
 * ``solve`` decides with that matrix route and certifies its word by a round
   trip: the pattern is consistent exactly when it is the word's interlacing
@@ -153,15 +153,15 @@ def reconstruct_sign_matrix(poly: Polygon, pattern: SignPattern) -> SignMatrix:
     """
     if pattern.n != poly.n:
         raise ValueError(f"pattern is for n={pattern.n}, polygon has n={poly.n}")
-    n, bits, index = poly.n, pattern.bits, poly.pair_index
+    n, f, index = poly.n, pattern._flags(), poly.pair_index
     # neg[i][j] is 1 where z_i < z_j; the last column and (1, 2) keep their 1
     neg = [[1] * (n + 1) for _ in range(n)]
     for j in range(3, n):
-        neg[1][j] = neg[1][j - 1] ^ (bits >> index[j - 1][n] & 1)
+        neg[1][j] = neg[1][j - 1] ^ f[index[j - 1][n]]
     for i in range(2, n - 1):
         up, row = neg[i - 1], neg[i]
         for j in range(n - 1, i, -1):
-            row[j] = (bits >> index[i - 1][j] & 1) ^ up[j + 1] ^ up[j] ^ row[j + 1]
+            row[j] = f[index[i - 1][j]] ^ up[j + 1] ^ up[j] ^ row[j + 1]
     entries = tuple(1 - 2 * neg[i][j] for i in range(1, n) for j in range(i + 1, n + 1))
     return SignMatrix(n, entries)
 

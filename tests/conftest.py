@@ -7,6 +7,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from usigns import (
+    Chord,
     PointConfig,
     Polygon,
     ProjectivePoint,
@@ -45,6 +46,48 @@ def consistent_bits(n: int, primitive_only: bool = False) -> frozenset[int]:
     poly = Polygon(n)
     return frozenset(
         p.bits for p in consistent_patterns(poly, primitive_only=primitive_only)
+    )
+
+
+def crosses(poly: Polygon, c1: Chord, c2: Chord) -> bool:
+    """Whether two distinct chords cross in the planar drawing.
+
+    True iff one endpoint of c2 lies strictly inside each of the two open
+    arcs cut out by c1; chords sharing an endpoint never cross.
+    """
+    c1 = poly.chord(*c1)
+    c2 = poly.chord(*c2)
+    if c1 == c2:
+        raise ValueError("crossing is only defined for distinct chords")
+    i, j = c1
+    k, l = c2
+    if k in c1 or l in c1:
+        return False
+    k_inside = i < k < j
+    l_inside = i < l < j
+    return k_inside != l_inside
+
+
+def crossing_chords(poly: Polygon, c: Chord) -> tuple[Chord, ...]:
+    """All chords crossing c, in canonical order: the independent reference
+    for the primitive relation masks."""
+    c = poly.chord(*c)
+    return tuple(d for d in poly.chords if d != c and crosses(poly, c, d))
+
+
+def brute_force_pick(pattern: SignPattern) -> tuple[int, int]:
+    """The shortest negative chord from first principles: the least (a, b)
+    over every orientation of every negative chord that runs along a
+    shortest arc."""
+    poly, n = Polygon(pattern.n), pattern.n
+    lengths = {c: poly.chord_length(c) for c in pattern.negatives()}
+    shortest = min(lengths.values())
+    return min(
+        (a, b)
+        for (i, j), d in lengths.items()
+        if d == shortest
+        for a, b in ((i, j), (j, i))
+        if (b - a) % n == d
     )
 
 

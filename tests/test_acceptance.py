@@ -18,7 +18,6 @@ from usigns import (
     canonicalize,
     count_consistent,
     cross_ratio,
-    crossing_chords,
     map_for_ordering,
     map_for_transposition,
     ordering_count,
@@ -32,7 +31,7 @@ from usigns import (
 )
 from usigns.points import standard_gauge
 
-from conftest import PENTAGON_TABLE, consistent_bits, label_chord, random_config
+from conftest import PENTAGON_TABLE, consistent_bits, crossing_chords, label_chord, random_config
 
 N6_EXCLUDED_14 = [
     "--+-+--++",

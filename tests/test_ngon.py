@@ -15,12 +15,10 @@ from usigns import (
     Polygon,
     all_orderings,
     canonicalize,
-    crosses,
-    crossing_chords,
     ordering_count,
 )
 
-from conftest import cyclic_intervals, dihedral_class
+from conftest import crosses, crossing_chords, cyclic_intervals, dihedral_class
 
 
 def test_polygon_validation():
@@ -159,6 +157,16 @@ def test_crossing_set_size(n):
     for c in poly.chords:
         d = poly.chord_length(c)
         assert len(crossing_chords(poly, c)) == (d - 1) * (n - d - 1)
+
+
+@pytest.mark.parametrize("n", [*range(4, 16), 60, 201])
+def test_pick_order_is_every_chord_by_length(n):
+    # the picker's order: each chord once, shortest first
+    poly = Polygon(n)
+    order = poly._pick_order
+    assert sorted(order) == list(range(poly.chord_count))
+    lengths = [poly.lengths[k] for k in order]
+    assert lengths == sorted(lengths)
 
 
 def test_canonicalize_examples():

@@ -6,7 +6,7 @@ import pytest
 
 from usigns import Polygon, SignPattern, shortest_negative, stats
 
-from conftest import DECAGON_NEGATIVES
+from conftest import DECAGON_NEGATIVES, brute_force_pick
 
 
 def test_parse_and_format_roundtrip():
@@ -94,20 +94,6 @@ def test_shortest_negative_orientation():
     assert shortest_negative(s) == (2, 5)
 
 
-def _brute_force_pick(pattern: SignPattern) -> tuple[int, int]:
-    # every orientation of every negative chord that runs along a shortest arc
-    poly, n = Polygon(pattern.n), pattern.n
-    lengths = {c: poly.chord_length(c) for c in pattern.negatives()}
-    shortest = min(lengths.values())
-    return min(
-        (a, b)
-        for (i, j), d in lengths.items()
-        if d == shortest
-        for a, b in ((i, j), (j, i))
-        if (b - a) % n == d
-    )
-
-
 def _picker_inputs():
     for n in range(4, 8):
         for bits in range(1 << Polygon(n).chord_count):
@@ -122,6 +108,17 @@ def _picker_inputs():
             for _ in range(density - 1):
                 bits &= rng.getrandbits(m)
             yield SignPattern(n, bits)
+    for n in (30, 60, 200):
+        poly = Polygon(n)
+        longest = [k for k, d in enumerate(poly.lengths) if d >= n // 2 - 1]
+        for _ in range(10):
+            # dense: about half the chords negative; sparse: a handful, so that
+            # the pick is often long; and a few of the two longest lengths,
+            # diameters among them
+            yield SignPattern(n, rng.getrandbits(poly.chord_count))
+            sparse = rng.sample(range(poly.chord_count), rng.randint(1, 4))
+            yield SignPattern(n, sum(1 << k for k in sparse))
+            yield SignPattern(n, sum(1 << k for k in rng.sample(longest, 3)))
 
 
 def test_one_picker_matches_brute_force():
@@ -134,6 +131,6 @@ def test_one_picker_matches_brute_force():
         poly = Polygon(pattern.n)
         shortest = min(poly.chord_length(c) for c in negatives)
         assert stats(pattern) == (len(negatives), shortest)
-        assert shortest_negative(pattern) == _brute_force_pick(pattern)
+        assert shortest_negative(pattern) == brute_force_pick(pattern)
         checked += 1
     assert checked > 16384

@@ -17,7 +17,6 @@ from usigns import (
     all_orderings,
     consistent_patterns,
     count_consistent,
-    crossing_chords,
     extended_relations,
     is_consistent,
     primitive_relations,
@@ -31,6 +30,7 @@ from conftest import (
     coarsen,
     consistent_bits,
     contradicts,
+    crossing_chords,
     cyclic_intervals,
     reference_relation,
     reflect_pattern,

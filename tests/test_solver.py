@@ -33,7 +33,13 @@ from usigns import (
 from usigns import monomial, relations, solver
 from usigns.points import standard_gauge
 
-from conftest import DECAGON_NEGATIVES, PENTAGON_TABLE, consistent_bits, swap_labels
+from conftest import (
+    DECAGON_NEGATIVES,
+    PENTAGON_TABLE,
+    brute_force_pick,
+    consistent_bits,
+    swap_labels,
+)
 
 
 def test_solve_all_plus_is_identity():
@@ -263,6 +269,22 @@ def test_walk_reads_each_state_once(monkeypatch):
         assert calls == []
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 20, 60])
+def test_walk_picks_as_brute_force(n, monkeypatch):
+    # the walk off the pick order is the walk off the brute-force picker:
+    # the same word and the same trace, step for step
+    poly = Polygon(n)
+    if n <= 7:
+        words = list(all_orderings(poly))
+    else:
+        rng = random.Random(n)
+        words = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(4 if n == 20 else 1)]
+    patterns = [sign_of_ordering(poly, word) for word in words]
+    walks = [solve(poly, pattern) for pattern in patterns]
+    monkeypatch.setattr(solver, "shortest_negative", brute_force_pick)
+    assert [solve(poly, pattern) for pattern in patterns] == walks
+
+
 def test_solve_incremental_matches_from_scratch():
     # each state the walk reads off the word must equal the input transported
     # through the full chart change of the swaps so far, and replaying the
@@ -381,6 +403,36 @@ def test_routes_agree_beyond_exhaustive_range(n, words):
             after = transport(previous, map_for_transposition(poly, poly.wrap(a + 1), b))
             assert after == step.pattern
             previous = step.pattern
+
+
+def _matrix_by_bits(poly: Polygon, pattern: SignPattern) -> SignMatrix:
+    # the matrix recursion reading each chord as a bit of the pattern integer,
+    # an independent reader of the same signs
+    n, bits, index = poly.n, pattern.bits, poly.pair_index
+    neg = [[1] * (n + 1) for _ in range(n)]
+    for j in range(3, n):
+        neg[1][j] = neg[1][j - 1] ^ (bits >> index[j - 1][n] & 1)
+    for i in range(2, n - 1):
+        for j in range(n - 1, i, -1):
+            chord = bits >> index[i - 1][j] & 1
+            neg[i][j] = chord ^ neg[i - 1][j + 1] ^ neg[i - 1][j] ^ neg[i][j + 1]
+    entries = tuple(1 - 2 * neg[i][j] for i in range(1, n) for j in range(i + 1, n + 1))
+    return SignMatrix(n, entries)
+
+
+def test_matrix_route_reads_the_chord_signs():
+    for n in range(4, 9):
+        poly = Polygon(n)
+        for word in all_orderings(poly):
+            pattern = sign_of_ordering(poly, word)
+            assert reconstruct_sign_matrix(poly, pattern) == _matrix_by_bits(poly, pattern)
+    rng = random.Random(36)
+    for n in (60, 300):
+        poly = Polygon(n)
+        for _ in range(2):
+            consistent = sign_of_ordering(poly, rng.sample(range(1, n + 1), n))
+            for pattern in (consistent, SignPattern(n, rng.getrandbits(poly.chord_count))):
+                assert reconstruct_sign_matrix(poly, pattern) == _matrix_by_bits(poly, pattern)
 
 
 def test_matrix_route_flags_inconsistent_patterns():
